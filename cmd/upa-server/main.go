@@ -226,16 +226,19 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, err
 	}
 	// The serving layer exposes the TPC-H relations to ad-hoc plans and the
-	// canned counting plans by name. Scans are materialized once and shared:
-	// plans built over them fingerprint identically across requests.
+	// canned counting plans by name. Each relation is converted once and
+	// every plan — canned or ad-hoc — scans that one *sql.ScanPlan: plans
+	// fingerprint identically across requests, and they share the relation's
+	// rows and its columnar image instead of holding a copy per plan.
+	rels := queries.NewRelations(w.DB)
 	tables := map[string]*sql.ScanPlan{
-		"lineitem": queries.LineitemRelation(w.DB),
-		"orders":   queries.OrdersRelation(w.DB),
-		"customer": queries.CustomerRelation(w.DB),
+		"lineitem": rels.Lineitem,
+		"orders":   rels.Orders,
+		"customer": rels.Customer,
 	}
 	named := make(map[string]sql.Plan)
 	for _, name := range []string{"tpch1", "tpch1full", "tpch4", "tpch6", "tpch13"} {
-		plan, err := queries.PlanByName(w.DB, name)
+		plan, err := rels.Plan(name)
 		if err != nil {
 			return nil, err
 		}

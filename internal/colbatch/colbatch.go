@@ -70,6 +70,25 @@ func (c Col) Len() int {
 	}
 }
 
+// Slice returns the window [lo, hi) of the column, sharing its payload: how
+// a batch is cut out of a relation's resident full-length vectors without a
+// copy. Kernels never write to their inputs, so the window is as read-only
+// as the column it came from.
+func (c Col) Slice(lo, hi int) Col {
+	switch c.Kind {
+	case Int64:
+		return IntCol(c.I64[lo:hi:hi])
+	case Float64:
+		return FloatCol(c.F64[lo:hi:hi])
+	case String:
+		return StrCol(c.Str[lo:hi:hi])
+	case Bool:
+		return BoolCol(c.Bool[lo:hi:hi])
+	default:
+		return c
+	}
+}
+
 // IntCol wraps a payload slice as an int64 column.
 func IntCol(v []int64) Col { return Col{Kind: Int64, I64: v} }
 

@@ -221,3 +221,28 @@ func TestConstCol(t *testing.T) {
 		t.Fatalf("ConstCol bool = %+v", c)
 	}
 }
+
+// TestColSliceSharesPayload pins Slice as a window, not a copy: same kind,
+// the requested length, the parent's storage, and no capacity to append
+// into the rows after the window.
+func TestColSliceSharesPayload(t *testing.T) {
+	cols := []Col{
+		IntCol([]int64{0, 1, 2, 3, 4}),
+		FloatCol([]float64{0, 1, 2, 3, 4}),
+		StrCol([]string{"0", "1", "2", "3", "4"}),
+		BoolCol([]bool{false, true, false, true, false}),
+	}
+	for _, c := range cols {
+		w := c.Slice(1, 4)
+		if w.Kind != c.Kind || w.Len() != 3 {
+			t.Fatalf("%s window has kind %s, length %d", c.Kind, w.Kind, w.Len())
+		}
+	}
+	w := cols[0].Slice(1, 4)
+	if &w.I64[0] != &cols[0].I64[1] || cap(w.I64) != 3 {
+		t.Fatalf("int window: shares storage %v, cap %d", &w.I64[0] == &cols[0].I64[1], cap(w.I64))
+	}
+	if s := cols[2].Slice(2, 2); s.Len() != 0 || s.Kind != String {
+		t.Fatalf("empty window = %+v", s)
+	}
+}

@@ -14,25 +14,59 @@ import (
 // static analysis through sql.FLEXPlan, which extracts join-column
 // statistics from the plan tree exactly as FLEX's SQL analyzer would.
 
-// PlanByName returns the canned relational plan for a TPC-H query name
-// (tpch1, tpch1full, tpch4, tpch6, tpch13), for callers — like upa-query's
-// -explain flag — that address plans the way they address Runners. Any plan
-// it returns executes through sql.Optimize when run with sql.Execute.
-func PlanByName(db *tpch.DB, name string) (sql.Plan, error) {
+// Relations holds the TPC-H base relations the canned plans scan. A process
+// that runs several plans builds them once (NewRelations) and plans every
+// query over the same three scans, so the plans share each relation's rows
+// and its columnar image instead of converting the tables once per plan.
+type Relations struct {
+	Lineitem, Orders, Customer *sql.ScanPlan
+}
+
+// NewRelations converts the three tables the canned plans read.
+func NewRelations(db *tpch.DB) Relations {
+	return Relations{
+		Lineitem: LineitemRelation(db),
+		Orders:   OrdersRelation(db),
+		Customer: CustomerRelation(db),
+	}
+}
+
+// Plan returns the canned relational plan for a TPC-H query name (tpch1,
+// tpch1full, tpch4, tpch6, tpch13) over these relations. A plan reads only
+// the relations it scans, so the others may be nil.
+func (r Relations) Plan(name string) (sql.Plan, error) {
 	switch name {
 	case "tpch1":
-		return TPCH1Plan(db), nil
+		return tpch1Plan(r.Lineitem), nil
 	case "tpch1full":
-		return TPCH1FullPlan(db), nil
+		return tpch1FullPlan(r.Lineitem), nil
 	case "tpch4":
-		return TPCH4Plan(db), nil
+		return tpch4Plan(r.Orders, r.Lineitem), nil
 	case "tpch6":
-		return TPCH6Plan(db), nil
+		return tpch6Plan(r.Lineitem), nil
 	case "tpch13":
-		return TPCH13Plan(db), nil
+		return tpch13Plan(r.Customer, r.Orders), nil
 	default:
 		return nil, fmt.Errorf("queries: no relational plan for %q", name)
 	}
+}
+
+// PlanByName returns the canned relational plan for a TPC-H query name over
+// freshly converted relations, for callers — like upa-query's -explain flag
+// — that address plans the way they address Runners. Only the tables the
+// plan scans are converted. Any plan it returns executes through
+// sql.Optimize when run with sql.Execute.
+func PlanByName(db *tpch.DB, name string) (sql.Plan, error) {
+	var r Relations
+	switch name {
+	case "tpch1", "tpch1full", "tpch6":
+		r.Lineitem = LineitemRelation(db)
+	case "tpch4":
+		r.Orders, r.Lineitem = OrdersRelation(db), LineitemRelation(db)
+	case "tpch13":
+		r.Customer, r.Orders = CustomerRelation(db), OrdersRelation(db)
+	}
+	return r.Plan(name)
 }
 
 // LineitemRelation converts the lineitem table to a relational scan.
@@ -97,9 +131,11 @@ func CustomerRelation(db *tpch.DB) *sql.ScanPlan {
 
 // TPCH1Plan is Q1's counting form as a relational plan:
 // SELECT count(*) FROM lineitem WHERE l_shipdate <= cutoff.
-func TPCH1Plan(db *tpch.DB) sql.Plan {
+func TPCH1Plan(db *tpch.DB) sql.Plan { return tpch1Plan(LineitemRelation(db)) }
+
+func tpch1Plan(lineitem *sql.ScanPlan) sql.Plan {
 	return sql.GroupBy(
-		sql.Where(LineitemRelation(db),
+		sql.Where(lineitem,
 			sql.Le(sql.Col("l_shipdate"), sql.Lit(sql.Int(int64(tpch1Cutoff))))),
 		nil,
 		sql.AggSpec{Name: "count_order", Func: sql.AggCount},
@@ -119,12 +155,14 @@ func TPCH1Plan(db *tpch.DB) sql.Plan {
 //	FROM lineitem WHERE l_shipdate <= cutoff
 //	GROUP BY l_returnflag, l_linestatus
 //	ORDER BY l_returnflag, l_linestatus
-func TPCH1FullPlan(db *tpch.DB) sql.Plan {
+func TPCH1FullPlan(db *tpch.DB) sql.Plan { return tpch1FullPlan(LineitemRelation(db)) }
+
+func tpch1FullPlan(lineitem *sql.ScanPlan) sql.Plan {
 	one := sql.Lit(sql.Float(1))
 	discounted := sql.Mul(sql.Col("l_extendedprice"), sql.Sub(one, sql.Col("l_discount")))
 	charged := sql.Mul(discounted, sql.Add(one, sql.Col("l_tax")))
 	grouped := sql.GroupBy(
-		sql.Where(LineitemRelation(db),
+		sql.Where(lineitem,
 			sql.Le(sql.Col("l_shipdate"), sql.Lit(sql.Int(int64(tpch1Cutoff))))),
 		[]string{"l_returnflag", "l_linestatus"},
 		sql.AggSpec{Name: "sum_qty", Func: sql.AggSum, Arg: sql.Col("l_quantity")},
@@ -146,7 +184,11 @@ func TPCH1FullPlan(db *tpch.DB) sql.Plan {
 // SELECT count(*) FROM orders JOIN lineitem ON o_orderkey = l_orderkey
 // WHERE o_orderdate in window AND l_commitdate < l_receiptdate.
 func TPCH4Plan(db *tpch.DB) sql.Plan {
-	joined := sql.JoinOn(OrdersRelation(db), "o_orderkey", LineitemRelation(db), "l_orderkey")
+	return tpch4Plan(OrdersRelation(db), LineitemRelation(db))
+}
+
+func tpch4Plan(orders, lineitem *sql.ScanPlan) sql.Plan {
+	joined := sql.JoinOn(orders, "o_orderkey", lineitem, "l_orderkey")
 	filtered := sql.Where(joined, sql.And(
 		sql.And(
 			sql.Ge(sql.Col("o_orderdate"), sql.Lit(sql.Int(int64(tpch4WindowLo)))),
@@ -161,7 +203,11 @@ func TPCH4Plan(db *tpch.DB) sql.Plan {
 // SELECT count(*) FROM customer JOIN orders ON c_custkey = o_custkey
 // WHERE NOT o_special.
 func TPCH13Plan(db *tpch.DB) sql.Plan {
-	joined := sql.JoinOn(CustomerRelation(db), "c_custkey", OrdersRelation(db), "o_custkey")
+	return tpch13Plan(CustomerRelation(db), OrdersRelation(db))
+}
+
+func tpch13Plan(customer, orders *sql.ScanPlan) sql.Plan {
+	joined := sql.JoinOn(customer, "c_custkey", orders, "o_custkey")
 	filtered := sql.Where(joined, sql.Not(sql.Col("o_special")))
 	return sql.GroupBy(filtered, nil, sql.AggSpec{Name: "pair_count", Func: sql.AggCount})
 }
@@ -169,8 +215,10 @@ func TPCH13Plan(db *tpch.DB) sql.Plan {
 // TPCH6Plan is Q6 as a relational plan (arithmetic — outside FLEX's
 // fragment): SELECT sum(l_extendedprice * l_discount) FROM lineitem WHERE
 // the year/discount/quantity filters hold.
-func TPCH6Plan(db *tpch.DB) sql.Plan {
-	filtered := sql.Where(LineitemRelation(db), sql.And(
+func TPCH6Plan(db *tpch.DB) sql.Plan { return tpch6Plan(LineitemRelation(db)) }
+
+func tpch6Plan(lineitem *sql.ScanPlan) sql.Plan {
+	filtered := sql.Where(lineitem, sql.And(
 		sql.And(
 			sql.Ge(sql.Col("l_shipdate"), sql.Lit(sql.Int(int64(tpch6YearLo)))),
 			sql.Lt(sql.Col("l_shipdate"), sql.Lit(sql.Int(int64(tpch6YearHi)))),

@@ -1,0 +1,52 @@
+package sql_test
+
+import (
+	"testing"
+
+	"upa/internal/mapreduce"
+	"upa/internal/queries"
+	"upa/internal/sql"
+	"upa/internal/tpch"
+)
+
+// compiled keeps the benchmarked call's result live.
+var compiled []sql.IndexedRow
+
+// BenchmarkCompileDPCount times one influence compilation per iteration —
+// the whole cost of a release-cache miss ahead of core.Run — for the three
+// shapes the serving benchmark drives: a filtered scan protecting its own
+// 100 000 rows, and two joins protecting their smaller side. Run with
+// -benchmem: bytes/op is the number the resident columnar image moves.
+func BenchmarkCompileDPCount(b *testing.B) {
+	db, err := tpch.Generate(tpch.Config{Lineitems: 100000, Skew: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rels := queries.NewRelations(db)
+	cases := []struct {
+		name, plan, protected string
+	}{
+		{"tpch1_lineitem", "tpch1", "lineitem"},
+		{"tpch4_orders", "tpch4", "orders"},
+		{"tpch13_customer", "tpch13", "customer"},
+	}
+	for _, tc := range cases {
+		plan, err := rels.Plan(tc.plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			eng := mapreduce.NewEngine()
+			defer eng.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, data, err := sql.CompileDPCount(eng, plan, tc.protected)
+				if err != nil {
+					b.Fatal(err)
+				}
+				compiled = data
+			}
+		})
+	}
+}

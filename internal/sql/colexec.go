@@ -9,13 +9,15 @@ import (
 	"upa/internal/mapreduce"
 )
 
-// colexec.go is the columnar execution path: loss-free Row↔Batch converters
-// at the seams, and fused MapPartitions pipelines that run whole
-// Filter/Project chains (optionally topped by an Aggregate) batch-at-a-time
-// with the kernels vectorize.go compiles. Shuffles, joins, sorts, limits and
-// the DP bridge stay row-based; the converters guarantee the columnar
-// region is observationally identical to the row path (same rows, same
-// bytes, same order within each partition).
+// colexec.go is the columnar execution path: the loss-free Row↔Batch
+// converters, the batch source that cuts 1 024-row windows out of a
+// relation's resident image (ScanPlan.columns), and fused MapPartitions
+// pipelines that run whole Filter/Project chains (optionally topped by an
+// Aggregate, or by the DP bridge's influence tally) batch-at-a-time with the
+// kernels vectorize.go compiles. Shuffles, joins, sorts and limits stay
+// row-based; the converters guarantee the columnar region is observationally
+// identical to the row path (same rows, same bytes, same order within each
+// partition).
 
 // colBatchSize is the number of rows per batch: large enough to amortize
 // per-batch dispatch, small enough that a batch's columns stay cache
@@ -29,7 +31,7 @@ const colBatchSize = 1024
 func rowsToBatch(schema Schema, rows []Row) (*colbatch.Batch, error) {
 	for _, r := range rows {
 		if len(r) != len(schema) {
-			return nil, fmt.Errorf("sql: row width %d does not match schema %v", len(r), schema.Names())
+			return nil, widthErr(schema, r)
 		}
 	}
 	cols := make([]colbatch.Col, len(schema))
@@ -82,6 +84,10 @@ func rowsToBatch(schema Schema, rows []Row) (*colbatch.Batch, error) {
 	return &colbatch.Batch{Cols: cols, N: len(rows)}, nil
 }
 
+func widthErr(schema Schema, r Row) error {
+	return fmt.Errorf("sql: row width %d does not match schema %v", len(r), schema.Names())
+}
+
 func convertErr(col Column, v Value) error {
 	return fmt.Errorf("sql: column %q declared %s but holds %s", col.Name, col.Kind, v.Kind())
 }
@@ -102,10 +108,13 @@ func cellValue(c colbatch.Col, i int) Value {
 }
 
 // appendBatchRows gathers the batch's live lanes back into rows, appending
-// to dst.
+// to dst. The batch's rows share one backing array of cells.
 func appendBatchRows(dst []Row, b *colbatch.Batch) []Row {
+	width := len(b.Cols)
+	cells := make([]Value, b.Live()*width)
 	b.ForSel(func(i int) {
-		row := make(Row, len(b.Cols))
+		row := Row(cells[:width:width])
+		cells = cells[width:]
 		for ci, c := range b.Cols {
 			row[ci] = cellValue(c, i)
 		}
@@ -174,39 +183,80 @@ func buildColumnarOps(top Plan) (*ScanPlan, []batchOp, error) {
 	}
 }
 
+// batchSource is the engine-side handle of a columnar scan. The rows live in
+// the relation's resident image, so nothing is copied into the engine or
+// offered to its spill store: slots is a dataset of empty partitions, one per
+// scanParts slot, and the task of slot p reads rows partBounds(n, parts, p)
+// of the image.
+type batchSource struct {
+	eng      *mapreduce.Engine
+	cols     []colbatch.Col
+	n, parts int
+	slots    *mapreduce.Dataset[struct{}]
+}
+
+func (c *compiler) openScan(scan *ScanPlan) (*batchSource, error) {
+	cols, err := scan.columns()
+	if err != nil {
+		return nil, err
+	}
+	parts := scanParts(c.eng, scan)
+	slots, err := mapreduce.FromPartitions(c.eng, make([][]struct{}, parts))
+	if err != nil {
+		return nil, err
+	}
+	return &batchSource{eng: c.eng, cols: cols, n: scan.numRows(), parts: parts, slots: slots}, nil
+}
+
+// partBounds is the [lo, hi) row range of partition p when n rows split into
+// parts contiguous partitions — the split mapreduce.FromSlice makes, so the
+// columnar and row paths see identically partitioned scans.
+func partBounds(n, parts, p int) (lo, hi int) {
+	base, rem := n/parts, n%parts
+	lo = p*base + min(p, rem)
+	hi = lo + base
+	if p < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// run feeds the rows of partition p through ops in colBatchSize windows —
+// each batch a zero-copy window of the image — hands every batch to emit,
+// and accounts the windows to the engine.
+func (s *batchSource) run(p int, ops []batchOp, emit func(*colbatch.Batch)) {
+	lo, hi := partBounds(s.n, s.parts, p)
+	var batches int64
+	for start := lo; start < hi; start += colBatchSize {
+		end := min(start+colBatchSize, hi)
+		b := &colbatch.Batch{Cols: make([]colbatch.Col, len(s.cols)), N: end - start}
+		for i, c := range s.cols {
+			b.Cols[i] = c.Slice(start, end)
+		}
+		for _, op := range ops {
+			op(b)
+		}
+		emit(b)
+		batches++
+	}
+	s.eng.AccountBatches(batches, int64(hi-lo))
+}
+
 // compileColumnarChain runs a vectorizable Filter/Project chain as one
-// fused MapPartitions: rows → batches → kernels → rows, with no
-// intermediate row materialization between operators.
+// fused MapPartitions: image windows → kernels → rows, with no intermediate
+// row materialization between operators.
 func (c *compiler) compileColumnarChain(top Plan) (*mapreduce.Dataset[Row], error) {
 	scan, ops, err := buildColumnarOps(top)
 	if err != nil {
 		return nil, err
 	}
-	ds, err := mapreduce.FromSlice(c.eng, scan.Rows, scanParts(c.eng, scan))
+	src, err := c.openScan(scan)
 	if err != nil {
 		return nil, err
 	}
-	eng := c.eng
-	schema := Schema(scan.Cols)
-	return mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([]Row, error) {
-		out := make([]Row, 0, len(rows))
-		var batches int64
-		for start := 0; start < len(rows); start += colBatchSize {
-			end := start + colBatchSize
-			if end > len(rows) {
-				end = len(rows)
-			}
-			b, err := rowsToBatch(schema, rows[start:end])
-			if err != nil {
-				return nil, err
-			}
-			for _, op := range ops {
-				op(b)
-			}
-			out = appendBatchRows(out, b)
-			batches++
-		}
-		eng.AccountBatches(batches, int64(len(rows)))
+	return mapreduce.MapPartitions(src.slots, func(p int, _ []struct{}) ([]Row, error) {
+		var out []Row
+		src.run(p, ops, func(b *colbatch.Batch) { out = appendBatchRows(out, b) })
 		return out, nil
 	}), nil
 }
@@ -272,30 +322,16 @@ func (c *compiler) compileColumnarAggregate(p *AggregatePlan) (*mapreduce.Datase
 		argFns[i] = fn
 	}
 
-	ds, err := mapreduce.FromSlice(c.eng, scan.Rows, scanParts(c.eng, scan))
+	src, err := c.openScan(scan)
 	if err != nil {
 		return nil, err
 	}
-	eng := c.eng
-	scanSchema := Schema(scan.Cols)
-	pairs := mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([]mapreduce.Pair[string, groupAcc], error) {
+	pairs := mapreduce.MapPartitions(src.slots, func(p int, _ []struct{}) ([]mapreduce.Pair[string, groupAcc], error) {
 		acc := make(map[string]*groupAcc)
 		var order []string
 		buf := make([]byte, 0, 64)
 		argCols := make([][]float64, nAggs)
-		var batches int64
-		for start := 0; start < len(rows); start += colBatchSize {
-			end := start + colBatchSize
-			if end > len(rows) {
-				end = len(rows)
-			}
-			b, err := rowsToBatch(scanSchema, rows[start:end])
-			if err != nil {
-				return nil, err
-			}
-			for _, op := range ops {
-				op(b)
-			}
+		src.run(p, ops, func(b *colbatch.Batch) {
 			for i, fn := range argFns {
 				if fn == nil {
 					argCols[i] = nil
@@ -355,14 +391,12 @@ func (c *compiler) compileColumnarAggregate(p *AggregatePlan) (*mapreduce.Datase
 					st.State.Maxs[i] = math.Max(st.State.Maxs[i], f)
 				}
 			})
-			batches++
-		}
-		eng.AccountBatches(batches, int64(len(rows)))
+		})
 		out := make([]mapreduce.Pair[string, groupAcc], len(order))
 		for i, k := range order {
 			out[i] = mapreduce.Pair[string, groupAcc]{Key: k, Value: *acc[k]}
 		}
 		return out, nil
 	})
-	return finalizeAggregate(eng, pairs, p.Aggs, len(p.GroupBy) == 0)
+	return finalizeAggregate(c.eng, pairs, p.Aggs, len(p.GroupBy) == 0)
 }

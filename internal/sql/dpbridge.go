@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 
+	"upa/internal/colbatch"
 	"upa/internal/core"
 	"upa/internal/mapreduce"
 )
@@ -19,7 +20,7 @@ type IndexedRow struct {
 // protected row its exact join fan-out through the plan (how many output
 // tuples vanish if the row does), computed in a single engine execution by
 // threading a hidden row-index column through the Filter/Join tree and
-// grouping the final count by it.
+// counting the surviving tuples per index.
 //
 // Together with core.Run this turns any supported SQL count into an
 // end-to-end iDP release — the SparkSQL-query path of the paper's
@@ -27,45 +28,51 @@ type IndexedRow struct {
 // directly comparable: a global single-Count aggregate over Filters, Joins
 // and Scans, with the protected table appearing exactly once.
 //
-// The influence map is computed against the full input and reused for the
-// sampled neighbouring datasets, like every broadcast in §V-B; addition
+// The influence vector is computed against the full input and reused for
+// the sampled neighbouring datasets, like every broadcast in §V-B; addition
 // neighbours need a domain-aware rebinding and are not sampled here (pass a
 // nil domain to core.Run).
 //
-// The influence execution routes through the optimizer (via Execute), which
-// is safe for the DP semantics by construction: the hidden index column is
-// tagged onto the protected scan *before* optimization and is a group-by
-// key of the influence plan, so projection pruning keeps it live down to
-// the scan, and no rule drops or duplicates it; and because every rewrite
-// preserves the plan's output row multiset, each protected row's per-index
-// output count — hence the influence map, the sampled neighbour set, and
-// the ε charge — is identical to the raw plan's. CompileDPCountRaw is the
-// unoptimized baseline the equivalence tests compare against.
+// The influence plan is the logical GROUP BY __protected_idx, COUNT(*) over
+// the tagged tree. Its interior is optimized and compiled like any plan's
+// (columnar where it vectorizes), which is safe for the DP semantics by
+// construction: the hidden index column is tagged onto the protected scan
+// *before* optimization and is a group-by key of the influence plan, so
+// projection pruning keeps it live down to the scan, and no rule drops or
+// duplicates it; and because every rewrite preserves the plan's output row
+// multiset, each protected row's per-index output count — hence the
+// influence vector, the sampled neighbour set, and the ε charge — is
+// identical to the raw plan's. Only the root is lowered specially: the group
+// key is a dense row position, so instead of a string-keyed hash aggregate
+// and its shuffle, tallyInfluence counts into a []int64 (see there).
+// CompileDPCountRaw is the unoptimized baseline the equivalence tests
+// compare against.
 func CompileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
-	return compileDPCount(eng, plan, protectedTable, Execute)
+	return compileDPCount(eng, plan, protectedTable, interiorColumnar)
 }
 
-// CompileDPCountRaw is CompileDPCount with the influence plan executed as
-// written (no optimizer rewrites) — the measurement baseline for the DP
-// equivalence regression tests and the bench "optimizer" experiment.
+// CompileDPCountRaw is CompileDPCount with the influence plan's interior
+// executed as written (no optimizer rewrites, row-at-a-time) — the
+// measurement baseline for the DP equivalence regression tests and the
+// bench "optimizer" experiment.
 func CompileDPCountRaw(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
-	return compileDPCount(eng, plan, protectedTable, ExecuteRaw)
+	return compileDPCount(eng, plan, protectedTable, interiorRaw)
 }
 
 // CompileDPCountRowOnly is CompileDPCount with the optimized influence plan
 // forced down the row-at-a-time path — the pre-physical-layer behaviour.
 // The DP equivalence tests compare it against CompileDPCount to pin that
-// columnar execution changes no release: same influence map, same neighbour
-// samples, same ε.
+// columnar execution changes no release: same influence vector, same
+// neighbour samples, same ε.
 func CompileDPCountRowOnly(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
-	return compileDPCount(eng, plan, protectedTable, ExecuteRowOnly)
+	return compileDPCount(eng, plan, protectedTable, interiorRowOnly)
 }
 
 // dpIdxCol is the hidden row-index column threaded through the protected
 // scan during influence compilation.
 const dpIdxCol = "__protected_idx"
 
-func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, exec func(*mapreduce.Engine, Plan) ([]Row, Schema, error)) (core.Query[IndexedRow], []IndexedRow, error) {
+func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in interior) (core.Query[IndexedRow], []IndexedRow, error) {
 	var zero core.Query[IndexedRow]
 	// The same structural validation admission control runs pre-charge;
 	// passing it here guarantees the unexported helpers below cannot fail on
@@ -78,33 +85,29 @@ func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, exe
 		return zero, nil, err
 	}
 	protected := findScans(agg.Input, protectedTable)[0]
+	rows, err := protected.rows()
+	if err != nil {
+		return zero, nil, err
+	}
 
 	tagged, err := tagProtectedScan(agg.Input, protected, dpIdxCol)
 	if err != nil {
 		return zero, nil, err
 	}
 	perRow := GroupBy(tagged, []string{dpIdxCol}, AggSpec{Name: "influence", Func: AggCount})
-	rows, _, err := exec(eng, perRow)
+	compiled, c := in.lower(eng, perRow)
+	influence, err := c.tallyInfluence(compiled, len(rows))
 	if err != nil {
 		return zero, nil, err
 	}
-	influence := make(map[int64]float64, len(rows))
-	for _, r := range rows {
-		idx, ok := r[0].AsInt()
-		if !ok {
-			return zero, nil, fmt.Errorf("sql: influence key has kind %s", r[0].Kind())
-		}
-		n, _ := r[1].AsInt()
-		influence[idx] = float64(n)
-	}
-	// Ship the influence table as a broadcast, like any §V-B lookup.
+	// Ship the influence vector as a broadcast, like any §V-B lookup.
 	broadcast, err := mapreduce.NewBroadcast(eng, influence, len(influence))
 	if err != nil {
 		return zero, nil, err
 	}
 
-	data := make([]IndexedRow, len(protected.Rows))
-	for i, r := range protected.Rows {
+	data := make([]IndexedRow, len(rows))
+	for i, r := range rows {
 		data[i] = IndexedRow{Idx: i, Row: r}
 	}
 	q := core.Query[IndexedRow]{
@@ -112,10 +115,102 @@ func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, exe
 		StateDim:  1,
 		OutputDim: 1,
 		Map: func(ir IndexedRow) core.State {
-			return core.State{broadcast.Value()[int64(ir.Idx)]}
+			return core.State{float64(broadcast.Value()[ir.Idx])}
 		},
 	}
 	return q, data, nil
+}
+
+// tallyInfluence executes an influence plan — GROUP BY the hidden index,
+// COUNT(*) — and returns the count per protected row, zero for a row no
+// output tuple descends from. The plan's interior compiles as usual; its
+// root does not run as an aggregate. The group key is a row position in
+// [0, n), so each engine task counts its partition's surviving tuples into
+// its own []int64 of length n and returns it as its one output record, and
+// the driver adds the partials up: O(rows) integer passes, no key rendering,
+// no per-group accumulator, no shuffle. A task that is retried rebuilds its
+// partial from scratch and the engine keeps one result per task, so a retry
+// cannot count a tuple twice.
+func (c *compiler) tallyInfluence(plan Plan, n int) ([]int64, error) {
+	agg, ok := plan.(*AggregatePlan)
+	if !ok {
+		return nil, fmt.Errorf("sql: internal: influence plan root is %T", plan)
+	}
+	in, err := agg.Input.Schema()
+	if err != nil {
+		return nil, err
+	}
+	idx, err := in.IndexOf(dpIdxCol)
+	if err != nil {
+		return nil, err
+	}
+	if in[idx].Kind != KindInt {
+		return nil, fmt.Errorf("sql: influence key has kind %s", in[idx].Kind)
+	}
+	// The hidden column holds row positions by construction; the range check
+	// only turns a same-named column of another table into an error instead
+	// of an index panic inside a task.
+	count := func(tally []int64, i int64) error {
+		if i < 0 || i >= int64(len(tally)) {
+			return fmt.Errorf("sql: influence key %d is not a row of the protected table (%d rows)", i, len(tally))
+		}
+		tally[i]++
+		return nil
+	}
+
+	var partials *mapreduce.Dataset[[]int64]
+	if c.columnar && vectorizableChain(agg.Input) {
+		scan, ops, err := buildColumnarOps(agg.Input)
+		if err != nil {
+			return nil, err
+		}
+		src, err := c.openScan(scan)
+		if err != nil {
+			return nil, err
+		}
+		partials = mapreduce.MapPartitions(src.slots, func(p int, _ []struct{}) ([][]int64, error) {
+			tally := make([]int64, n)
+			var err error
+			src.run(p, ops, func(b *colbatch.Batch) {
+				hidden := b.Cols[idx].I64
+				b.ForSel(func(lane int) {
+					if cerr := count(tally, hidden[lane]); cerr != nil {
+						err = cerr
+					}
+				})
+			})
+			return [][]int64{tally}, err
+		})
+	} else {
+		ds, err := c.compile(agg.Input)
+		if err != nil {
+			return nil, err
+		}
+		partials = mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([][]int64, error) {
+			tally := make([]int64, n)
+			for _, r := range rows {
+				i, ok := r[idx].AsInt()
+				if !ok {
+					return nil, fmt.Errorf("sql: influence key has kind %s", r[idx].Kind())
+				}
+				if err := count(tally, i); err != nil {
+					return nil, err
+				}
+			}
+			return [][]int64{tally}, nil
+		})
+	}
+	collected, err := partials.Collect()
+	if err != nil {
+		return nil, err
+	}
+	influence := make([]int64, n)
+	for _, partial := range collected {
+		for i, count := range partial {
+			influence[i] += count
+		}
+	}
+	return influence, nil
 }
 
 // countRootOf unwraps Limit/OrderBy above the counting aggregate.
@@ -152,8 +247,9 @@ func findScans(plan Plan, name string) []*ScanPlan {
 }
 
 // tagProtectedScan rewrites the Filter/Join tree, replacing the protected
-// scan with a copy carrying the hidden index column. Any other node kind in
-// the interior would drop or reshape columns, so it is rejected.
+// scan with a view of it that also carries the hidden index column — no row
+// is copied. Any other node kind in the interior would drop or reshape
+// columns, so it is rejected.
 func tagProtectedScan(plan Plan, protected *ScanPlan, idxCol string) (Plan, error) {
 	switch p := plan.(type) {
 	case *ScanPlan:
@@ -163,14 +259,12 @@ func tagProtectedScan(plan Plan, protected *ScanPlan, idxCol string) (Plan, erro
 		cols := make(Schema, 0, len(p.Cols)+1)
 		cols = append(cols, p.Cols...)
 		cols = append(cols, Column{Name: idxCol, Kind: KindInt})
-		rows := make([]Row, len(p.Rows))
-		for i, r := range p.Rows {
-			row := make(Row, 0, len(r)+1)
-			row = append(row, r...)
-			row = append(row, Int(int64(i)))
-			rows[i] = row
+		pick := make([]int, len(cols))
+		for i := range p.Cols {
+			pick[i] = i
 		}
-		return Scan(p.Name, cols, rows), nil
+		pick[len(p.Cols)] = tagCol
+		return p.derive(cols, pick), nil
 	case *FilterPlan:
 		in, err := tagProtectedScan(p.Input, protected, idxCol)
 		if err != nil {

@@ -20,8 +20,7 @@ import (
 // byte-identical results; use ExecuteRowOnly to force the row path and
 // ExecuteRaw to run the tree as written.
 func Execute(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
-	optimized, _ := Optimize(plan)
-	return executePlan(eng, plan, optimized, true)
+	return interiorColumnar.execute(eng, plan)
 }
 
 // ExecuteRowOnly runs the optimized plan entirely row-at-a-time — the
@@ -29,8 +28,7 @@ func Execute(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
 // columnar path: equivalence tests and the bench columnar sweep compare
 // Execute against ExecuteRowOnly on the same plan.
 func ExecuteRowOnly(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
-	optimized, _ := Optimize(plan)
-	return executePlan(eng, plan, optimized, false)
+	return interiorRowOnly.execute(eng, plan)
 }
 
 // ExecuteRaw compiles the plan tree exactly as the caller built it, with no
@@ -38,17 +36,38 @@ func ExecuteRowOnly(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
 // measurement baseline: equivalence tests and the bench "optimizer"
 // experiment compare Execute against ExecuteRaw on the same plan.
 func ExecuteRaw(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
-	return executePlan(eng, plan, plan, false)
+	return interiorRaw.execute(eng, plan)
 }
 
-// executePlan runs compiled, reporting schema and errors against declared
-// (the tree the caller built).
-func executePlan(eng *mapreduce.Engine, declared, compiled Plan, columnar bool) ([]Row, Schema, error) {
-	schema, err := declared.Schema()
+// interior is how an entry point runs the tree under a plan's root: as
+// rewritten by Optimize or as written, with vectorizable chains columnar or
+// everything row-at-a-time. The three in use are shared by the Execute and
+// the CompileDPCount families.
+type interior struct{ optimize, columnar bool }
+
+var (
+	interiorColumnar = interior{optimize: true, columnar: true}
+	interiorRowOnly  = interior{optimize: true}
+	interiorRaw      = interior{}
+)
+
+// lower returns the tree the interior executes for plan and a compiler set
+// to its strategy.
+func (in interior) lower(eng *mapreduce.Engine, plan Plan) (Plan, *compiler) {
+	if in.optimize {
+		plan, _ = Optimize(plan)
+	}
+	return plan, &compiler{eng: eng, columnar: in.columnar}
+}
+
+// execute runs plan, reporting schema and errors against the tree the
+// caller built.
+func (in interior) execute(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
+	schema, err := plan.Schema()
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &compiler{eng: eng, columnar: columnar}
+	compiled, c := in.lower(eng, plan)
 	ds, err := c.compile(compiled)
 	if err != nil {
 		return nil, nil, err
@@ -96,8 +115,8 @@ type compiler struct {
 // turn keeps shuffle merge order, and therefore float folds, identical).
 func scanParts(eng *mapreduce.Engine, p *ScanPlan) int {
 	parts := eng.Workers()
-	if parts > len(p.Rows) {
-		parts = len(p.Rows)
+	if parts > p.numRows() {
+		parts = p.numRows()
 	}
 	if parts < 1 {
 		parts = 1
@@ -121,7 +140,11 @@ func (c *compiler) compile(plan Plan) (*mapreduce.Dataset[Row], error) {
 	}
 	switch p := plan.(type) {
 	case *ScanPlan:
-		return mapreduce.FromSlice(eng, p.Rows, scanParts(eng, p))
+		rows, err := p.rows()
+		if err != nil {
+			return nil, err
+		}
+		return mapreduce.FromSlice(eng, rows, scanParts(eng, p))
 
 	case *FilterPlan:
 		in, err := p.Input.Schema()

@@ -40,7 +40,7 @@ func planLine(p Plan) string {
 		for i, c := range n.Cols {
 			names[i] = c.Name
 		}
-		return fmt.Sprintf("scan %s [%s] (%d rows)", n.Name, strings.Join(names, ", "), len(n.Rows))
+		return fmt.Sprintf("scan %s [%s] (%d rows)", n.Name, strings.Join(names, ", "), n.numRows())
 	case *FilterPlan:
 		return "filter " + n.Pred.describe()
 	case *ProjectPlan:

@@ -49,7 +49,7 @@ func writeFingerprint(w io.Writer, p Plan) {
 		for i, c := range n.Cols {
 			cols[i] = c.Name + ":" + strconv.Itoa(int(c.Kind))
 		}
-		fmt.Fprintf(w, "scan{%s|%s|%d}", n.Name, strings.Join(cols, ","), len(n.Rows))
+		fmt.Fprintf(w, "scan{%s|%s|%d}", n.Name, strings.Join(cols, ","), n.numRows())
 	case *FilterPlan:
 		fmt.Fprintf(w, "filter{%s}(", n.Pred.describe())
 		writeFingerprint(w, n.Input)

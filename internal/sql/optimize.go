@@ -612,7 +612,11 @@ func (o *optimizer) reorderJoinTree(root *JoinPlan) (Plan, bool) {
 		if err != nil {
 			return relation.ColumnStats{}, false
 		}
-		return relation.StatsOf(leaves[leaf].scan.Rows, func(r Row) Value { return r[idx] }), true
+		rows, err := leaves[leaf].scan.rows()
+		if err != nil {
+			return relation.ColumnStats{}, false
+		}
+		return relation.StatsOf(rows, func(r Row) Value { return r[idx] }), true
 	}
 	statsI := make([]relation.ColumnStats, len(edges))
 	statsJ := make([]relation.ColumnStats, len(edges))
@@ -806,7 +810,7 @@ func (o *optimizer) swapJoin(left Plan, leftKey string, right Plan, rightKey str
 func estimateRows(p Plan) int {
 	switch n := p.(type) {
 	case *ScanPlan:
-		return len(n.Rows)
+		return n.numRows()
 	case *FilterPlan:
 		return max(1, estimateRows(n.Input)/3)
 	case *ProjectPlan:
@@ -833,14 +837,14 @@ func estimateRows(p Plan) int {
 	}
 }
 
-// ScanCells counts the values the plan's base relations feed into the
-// engine: Σ rows×columns over every scan in the tree. Projection pruning
-// narrows scans in place, so comparing ScanCells of a raw and an optimized
-// plan measures exactly the data volume pruning kept out of execution.
+// ScanCells counts the values the plan's scans feed into execution:
+// Σ rows×columns over every scan in the tree. Projection pruning narrows
+// scans themselves, so comparing ScanCells of a raw and an optimized plan
+// measures exactly the data volume pruning kept out of execution.
 func ScanCells(p Plan) int64 {
 	switch n := p.(type) {
 	case *ScanPlan:
-		return int64(len(n.Rows)) * int64(len(n.Cols))
+		return int64(n.numRows()) * int64(len(n.Cols))
 	case *FilterPlan:
 		return ScanCells(n.Input)
 	case *ProjectPlan:
@@ -948,11 +952,12 @@ func (o *optimizer) prune(p Plan, need map[string]bool) Plan {
 	}
 }
 
-// pruneScan narrows the scan itself — new column list, rows rebuilt with
-// only the kept values — rather than wrapping a Project node around it. A
+// pruneScan narrows the scan itself — a view of the same relation carrying
+// only the kept columns — rather than wrapping a Project node around it. A
 // Project would cost a full extra pass over the base relation at execution
-// time; folding the projection into the scan is the column-pruning-at-the-
-// reader move, so the dead columns never enter the engine at all.
+// time; the view costs nothing here and nothing on the columnar path (it
+// picks the kept vectors out of the relation's image), and where a row
+// operator reads it the rows are built once, at the pruned width.
 func (o *optimizer) pruneScan(n *ScanPlan, need map[string]bool) Plan {
 	if need == nil || len(n.Cols) == 0 || hasDuplicateNames(n.Cols) {
 		return n
@@ -971,28 +976,15 @@ func (o *optimizer) pruneScan(n *ScanPlan, need map[string]bool) Plan {
 		// column so counting nodes still see real rows.
 		kept = []int{0}
 	}
-	cols := make([]Column, len(kept))
+	cols := make(Schema, len(kept))
 	names := make([]string, len(kept))
 	for i, j := range kept {
 		cols[i] = n.Cols[j]
 		names[i] = n.Cols[j].Name
 	}
-	rows := make([]Row, len(n.Rows))
-	for i, r := range n.Rows {
-		if len(r) != len(n.Cols) {
-			// Malformed relation: leave it alone so compile reports the
-			// width mismatch against the caller's tree.
-			return n
-		}
-		nr := make(Row, len(kept))
-		for k, j := range kept {
-			nr[k] = r[j]
-		}
-		rows[i] = nr
-	}
 	o.record("projection-pruning", "narrowed scan %s from %d to %d columns [%s]",
 		n.Name, len(n.Cols), len(cols), strings.Join(names, ", "))
-	return Scan(n.Name, cols, rows)
+	return n.derive(cols, kept)
 }
 
 // addExprCols unions an expression's columns into need (nil stays nil: all

@@ -187,7 +187,14 @@ func TestProjectionPruning(t *testing.T) {
 	if len(sp.Cols) != 1 || sp.Cols[0].Name != "status" {
 		t.Fatalf("pruned to %v, want [status]", sp.Cols)
 	}
-	for i, r := range sp.Rows {
+	rows, err := sp.rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != ordersScan().numRows() {
+		t.Fatalf("narrowed scan has %d rows", len(rows))
+	}
+	for i, r := range rows {
 		if len(r) != 1 {
 			t.Fatalf("narrowed row %d still has %d values", i, len(r))
 		}

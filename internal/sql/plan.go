@@ -1,6 +1,11 @@
 package sql
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"upa/internal/colbatch"
+)
 
 // Plan is a logical relational query plan. Build plans with the
 // constructors below and run them with Execute.
@@ -12,13 +17,38 @@ type Plan interface {
 }
 
 // ScanPlan reads a named base relation.
+//
+// A relation is immutable once planned. The first columnar execution builds
+// its image — one typed colbatch vector per column, converted once by the
+// strict rowsToBatch — and every later execution, and every scan the
+// optimizer or the DP bridge derives from this one, reads that same image.
+// The image is never invalidated, so Rows and the values it holds must not
+// change after the scan is first handed to Execute, Optimize, Explain or
+// CompileDPCount.
 type ScanPlan struct {
 	// Name labels the relation (used by FLEX extraction diagnostics).
 	Name string
-	// Cols is the relation's schema; Rows its tuples.
+	// Cols is the scan's schema.
 	Cols Schema
+	// Rows is a base relation's tuples. A derived scan holds none: read a
+	// scan through numRows, rows and columns, never through this field.
 	Rows []Row
+
+	// base and pick are set on a derived scan — projection pruning, the DP
+	// bridge's index tag — which is a view of base: pick[i] names the base
+	// column behind Cols[i], or tagCol for the row's position in base.
+	base *ScanPlan
+	pick []int
+
+	// The columnar image of a base relation, built on first use.
+	imageOnce sync.Once
+	image     []colbatch.Col
+	imageErr  error
 }
+
+// tagCol, as a pick entry, is the hidden row-index column of the DP bridge:
+// an iota over the base relation rather than one of its columns.
+const tagCol = -1
 
 // Scan builds a base-relation scan.
 func Scan(name string, cols Schema, rows []Row) *ScanPlan {
@@ -27,6 +57,94 @@ func Scan(name string, cols Schema, rows []Row) *ScanPlan {
 
 // Schema implements Plan.
 func (p *ScanPlan) Schema() (Schema, error) { return p.Cols, nil }
+
+// derive returns a view of the same relation with schema cols, where pick[i]
+// is the index in p.Cols of the column behind cols[i], or tagCol. No row is
+// copied: the view shares p's base rows and columnar image.
+func (p *ScanPlan) derive(cols Schema, pick []int) *ScanPlan {
+	if p.base == nil {
+		return &ScanPlan{Name: p.Name, Cols: cols, base: p, pick: pick}
+	}
+	composed := make([]int, len(pick))
+	for i, j := range pick {
+		if j == tagCol {
+			composed[i] = tagCol
+		} else {
+			composed[i] = p.pick[j]
+		}
+	}
+	return &ScanPlan{Name: p.Name, Cols: cols, base: p.base, pick: composed}
+}
+
+// numRows is the relation's row count.
+func (p *ScanPlan) numRows() int {
+	if p.base != nil {
+		return len(p.base.Rows)
+	}
+	return len(p.Rows)
+}
+
+// rows returns the relation's tuples at this scan's width, for the row
+// operators (join, sort, limit, the row-at-a-time compiler). A base scan
+// hands out Rows itself; a view materialises its columns from the base rows,
+// which is the only place a pruned or tagged scan costs a row copy.
+func (p *ScanPlan) rows() ([]Row, error) {
+	if p.base == nil {
+		return p.Rows, nil
+	}
+	width := len(p.pick)
+	cells := make([]Value, len(p.base.Rows)*width)
+	out := make([]Row, len(p.base.Rows))
+	for i, r := range p.base.Rows {
+		if len(r) != len(p.base.Cols) {
+			return nil, widthErr(p.base.Cols, r)
+		}
+		row := cells[i*width : (i+1)*width : (i+1)*width]
+		for k, j := range p.pick {
+			if j == tagCol {
+				row[k] = Int(int64(i))
+			} else {
+				row[k] = r[j]
+			}
+		}
+		out[i] = row
+	}
+	return out, nil
+}
+
+// columns returns the relation's columnar image at this scan's width: the
+// base relation's vectors, shared and read-only, plus a fresh iota vector
+// where the scan carries the index tag.
+func (p *ScanPlan) columns() ([]colbatch.Col, error) {
+	if p.base == nil {
+		p.imageOnce.Do(func() {
+			b, err := rowsToBatch(p.Cols, p.Rows)
+			if err != nil {
+				p.imageErr = err
+				return
+			}
+			p.image = b.Cols
+		})
+		return p.image, p.imageErr
+	}
+	image, err := p.base.columns()
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]colbatch.Col, len(p.pick))
+	for k, j := range p.pick {
+		if j != tagCol {
+			cols[k] = image[j]
+			continue
+		}
+		idx := make([]int64, len(p.base.Rows))
+		for i := range idx {
+			idx[i] = int64(i)
+		}
+		cols[k] = colbatch.IntCol(idx)
+	}
+	return cols, nil
+}
 
 func (p *ScanPlan) describe() string { return "scan(" + p.Name + ")" }
 
