@@ -117,7 +117,7 @@ func WriteOptimizerCSV(w io.Writer, rows []OptimizerRow) error {
 	header := []string{"workload", "query", "lineitems", "raw_shuffled", "opt_shuffled",
 		"raw_mapped", "opt_mapped", "raw_cells", "opt_cells",
 		"shuffle_reduction", "map_reduction", "cell_reduction",
-		"raw_us", "opt_us", "rowonly_us", "columnar_speedup",
+		"raw_us", "opt_us",
 		"records_batched", "batches_processed", "rewrites"}
 	return writeCSV(w, header, len(rows), func(i int) []string {
 		r := rows[i]
@@ -126,7 +126,7 @@ func WriteOptimizerCSV(w io.Writer, rows []OptimizerRow) error {
 			itoa64(r.RawMapped), itoa64(r.OptMapped),
 			itoa64(r.RawCells), itoa64(r.OptCells),
 			ftoa(r.ShuffleReduction), ftoa(r.MapReduction), ftoa(r.CellReduction),
-			dtoa(r.RawTime), dtoa(r.OptTime), dtoa(r.RowOnlyTime), ftoa(r.ColumnarSpeedup),
+			dtoa(r.RawTime), dtoa(r.OptTime),
 			itoa64(r.RecordsBatched), itoa64(r.BatchesProcessed), itoa(r.Rewrites)}
 	})
 }

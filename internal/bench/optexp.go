@@ -38,19 +38,13 @@ type OptimizerRow struct {
 	CellReduction    float64
 	// RawTime/OptTime are min-of-reps wall times — indicative, not a
 	// statistical claim (the record counters are the load-bearing result).
-	// The optimized time includes the Optimize call itself. OptTime is the
+	// The optimized time includes the Optimize call itself, and is the
 	// default Execute path, which routes vectorizable subtrees through the
-	// columnar kernels; RowOnlyTime is the same optimized plan forced down
-	// the row-at-a-time path (the pre-physical-layer behaviour).
-	RawTime, OptTime, RowOnlyTime time.Duration
-	// ColumnarSpeedup is RowOnlyTime / OptTime — how much faster the
-	// physical layer's columnar execution is than pure row execution of the
-	// identical optimized plan (1 when the plan has no vectorizable
-	// subtree, so both paths do the same work).
-	ColumnarSpeedup float64
-	// RecordsBatched/BatchesProcessed are the columnar run's converter
+	// columnar kernels.
+	RawTime, OptTime time.Duration
+	// RecordsBatched/BatchesProcessed are the optimized run's converter
 	// metrics: rows that flowed through fused batch operators and the batch
-	// count. Both zero when the physical plan stays row-only.
+	// count. Both zero when the physical plan has no columnar subtree.
 	RecordsBatched, BatchesProcessed int64
 	// Rewrites is how many optimizer rewrites fired on the plan.
 	Rewrites int
@@ -167,15 +161,8 @@ func runOptimizerWorkload(name, query string, lineitems int, plan sql.Plan, reps
 	if err != nil {
 		return OptimizerRow{}, fmt.Errorf("optimized: %w", err)
 	}
-	_, rowOnlyRows, rowOnlyTime, err := runPlan(plan, sql.ExecuteRowOnly, reps)
-	if err != nil {
-		return OptimizerRow{}, fmt.Errorf("row-only: %w", err)
-	}
 	if err := sameRowMultiset(rawRows, optRows); err != nil {
 		return OptimizerRow{}, err
-	}
-	if err := sameRowMultiset(rowOnlyRows, optRows); err != nil {
-		return OptimizerRow{}, fmt.Errorf("columnar vs row-only: %w", err)
 	}
 	optimized, rewrites := sql.Optimize(plan)
 	row := OptimizerRow{
@@ -190,13 +177,9 @@ func runOptimizerWorkload(name, query string, lineitems int, plan sql.Plan, reps
 		OptCells:         sql.ScanCells(optimized),
 		RawTime:          rawTime,
 		OptTime:          optTime,
-		RowOnlyTime:      rowOnlyTime,
 		RecordsBatched:   optDelta.RecordsBatched,
 		BatchesProcessed: optDelta.BatchesProcessed,
 		Rewrites:         len(rewrites),
-	}
-	if optTime > 0 {
-		row.ColumnarSpeedup = float64(rowOnlyTime) / float64(optTime)
 	}
 	if row.RawShuffled > 0 {
 		row.ShuffleReduction = 1 - float64(row.OptShuffled)/float64(row.RawShuffled)
@@ -268,19 +251,17 @@ func sameRowMultiset(raw, opt []sql.Row) error {
 func RenderOptimizer(rows []OptimizerRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Plan optimizer: raw vs optimized execution (records shuffled / mapped, scan cells)\n")
-	fmt.Fprintf(&b, "and physical layer: columnar vs row-only execution of the optimized plan\n")
-	fmt.Fprintf(&b, "%-18s %-20s %10s %10s %9s %9s %9s %8s %8s %8s %8s %10s %8s %8s\n",
+	fmt.Fprintf(&b, "%-18s %-20s %10s %10s %9s %9s %9s %8s %8s %10s %8s %8s\n",
 		"workload", "query", "raw_shuf", "opt_shuf",
-		"shuf_red", "map_red", "cell_red", "raw_ms", "row_ms", "col_ms",
-		"col_spd", "batched", "batches", "rewrites")
+		"shuf_red", "map_red", "cell_red", "raw_ms", "opt_ms",
+		"batched", "batches", "rewrites")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %-20s %10d %10d %8.1f%% %8.1f%% %8.1f%% %8.2f %8.2f %8.2f %7.2fx %10d %8d %8d\n",
+		fmt.Fprintf(&b, "%-18s %-20s %10d %10d %8.1f%% %8.1f%% %8.1f%% %8.2f %8.2f %10d %8d %8d\n",
 			r.Workload, r.Query, r.RawShuffled, r.OptShuffled,
 			100*r.ShuffleReduction, 100*r.MapReduction, 100*r.CellReduction,
 			float64(r.RawTime)/float64(time.Millisecond),
-			float64(r.RowOnlyTime)/float64(time.Millisecond),
 			float64(r.OptTime)/float64(time.Millisecond),
-			r.ColumnarSpeedup, r.RecordsBatched, r.BatchesProcessed,
+			r.RecordsBatched, r.BatchesProcessed,
 			r.Rewrites)
 	}
 	return b.String()

@@ -7,17 +7,15 @@ import (
 )
 
 // optimizerReportRow is the JSON shape of one optimizer-sweep workload in
-// experiments/BENCH_optimizer.json: per-query wall clock for the three
-// execution paths (raw, optimized row-only, optimized columnar), the scan
-// cells the optimizer narrowed, and the columnar converter counters.
+// experiments/BENCH_optimizer.json: per-query wall clock for the two
+// execution paths (raw, and optimized with columnar chains), the scan cells
+// the optimizer narrowed, and the columnar converter counters.
 type optimizerReportRow struct {
 	Workload         string  `json:"workload"`
 	Query            string  `json:"query"`
 	Lineitems        int     `json:"lineitems"`
 	RawUS            float64 `json:"raw_us"`
-	RowOnlyUS        float64 `json:"rowonly_us"`
 	ColumnarUS       float64 `json:"columnar_us"`
-	ColumnarSpeedup  float64 `json:"columnar_speedup"`
 	RawScanCells     int64   `json:"raw_scan_cells"`
 	OptScanCells     int64   `json:"opt_scan_cells"`
 	RecordsBatched   int64   `json:"records_batched"`
@@ -41,9 +39,7 @@ func WriteOptimizerJSON(w io.Writer, rows []OptimizerRow) error {
 			Query:            r.Query,
 			Lineitems:        r.Lineitems,
 			RawUS:            float64(r.RawTime) / float64(time.Microsecond),
-			RowOnlyUS:        float64(r.RowOnlyTime) / float64(time.Microsecond),
 			ColumnarUS:       float64(r.OptTime) / float64(time.Microsecond),
-			ColumnarSpeedup:  r.ColumnarSpeedup,
 			RawScanCells:     r.RawCells,
 			OptScanCells:     r.OptCells,
 			RecordsBatched:   r.RecordsBatched,

@@ -9,8 +9,11 @@ import (
 	"upa/internal/tpch"
 )
 
-// compiled keeps the benchmarked call's result live.
-var compiled []sql.IndexedRow
+// compiled and aggregated keep the benchmarked calls' results live.
+var (
+	compiled   []sql.IndexedRow
+	aggregated []sql.Row
+)
 
 // BenchmarkCompileDPCount times one influence compilation per iteration —
 // the whole cost of a release-cache miss ahead of core.Run — for the three
@@ -46,6 +49,42 @@ func BenchmarkCompileDPCount(b *testing.B) {
 					b.Fatal(err)
 				}
 				compiled = data
+			}
+		})
+	}
+}
+
+// BenchmarkAggregateOverJoin times the row-fed aggregate: a join has no
+// columnar form, so the fold above it is fed row by row. grouped is TPC-H
+// Q13's customer⋈orders join under GROUP BY c_custkey, COUNT(*) (one group
+// per customer); global is Q13's counting form itself (its filter sits
+// between the join and the count). Run with -benchmem: allocs/op is the
+// number the per-partition fold moves.
+func BenchmarkAggregateOverJoin(b *testing.B) {
+	db, err := tpch.Generate(tpch.Config{Lineitems: 100000, Skew: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	join := sql.JoinOn(queries.CustomerRelation(db), "c_custkey", queries.OrdersRelation(db), "o_custkey")
+	cases := []struct {
+		name string
+		plan sql.Plan
+	}{
+		{"grouped", sql.GroupBy(join, []string{"c_custkey"}, sql.AggSpec{Name: "orders", Func: sql.AggCount})},
+		{"global", queries.TPCH13Plan(db)},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			eng := mapreduce.NewEngine()
+			defer eng.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, _, err := sql.Execute(eng, tc.plan)
+				if err != nil {
+					b.Fatal(err)
+				}
+				aggregated = rows
 			}
 		})
 	}

@@ -2,8 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 
 	"upa/internal/colbatch"
 	"upa/internal/mapreduce"
@@ -12,9 +10,9 @@ import (
 // colexec.go is the columnar execution path: the loss-free Row↔Batch
 // converters, the batch source that cuts 1 024-row windows out of a
 // relation's resident image (ScanPlan.columns), and fused MapPartitions
-// pipelines that run whole Filter/Project chains (optionally topped by an
-// Aggregate, or by the DP bridge's influence tally) batch-at-a-time with the
-// kernels vectorize.go compiles. Shuffles, joins, sorts and limits stay
+// pipelines that run whole Filter/Project chains (optionally feeding the
+// aggregate fold, or the DP bridge's influence tally) batch-at-a-time with
+// the kernels vectorize.go compiles. Shuffles, joins, sorts and limits stay
 // row-based; the converters guarantee the columnar region is observationally
 // identical to the row path (same rows, same bytes, same order within each
 // partition).
@@ -261,59 +259,19 @@ func (c *compiler) compileColumnarChain(top Plan) (*mapreduce.Dataset[Row], erro
 	}), nil
 }
 
-// appendGroupKey appends one lane's group-key rendering, byte-identical to
-// Value.String() + "\x1f" as the row path builds it.
-func appendGroupKey(buf []byte, c colbatch.Col, i int) []byte {
-	switch c.Kind {
-	case colbatch.Int64:
-		buf = strconv.AppendInt(buf, c.I64[i], 10)
-	case colbatch.Float64:
-		buf = strconv.AppendFloat(buf, c.F64[i], 'g', -1, 64)
-	case colbatch.String:
-		buf = strconv.AppendQuote(buf, c.Str[i])
-	default:
-		buf = strconv.AppendBool(buf, c.Bool[i])
-	}
-	return append(buf, 0x1f)
-}
-
-// compileColumnarAggregate fuses a vectorizable input chain with a
-// batch-at-a-time partial aggregation, then feeds the per-partition partials
-// through the exact same ReduceByKey(mergeGroups) + finalize as the row
-// path.
-//
-// Byte-identical equivalence with the row path is load-bearing (the DP
-// bridge's influence query and releases run through here), and rests on
-// reproducing the row path's map-side combine exactly: groups fold in row
-// order with the same float operations in the same sequence (Sums[i] += f;
-// Mins/Maxs via math.Min/Max with the accumulator on the left), partials
-// emit one per key in first-seen order, and the partition count matches the
-// row path's, so the downstream shuffle merges in the same order.
-func (c *compiler) compileColumnarAggregate(p *AggregatePlan) (*mapreduce.Dataset[Row], error) {
+// foldBatches feeds the aggregate fold from the image of a vectorizable
+// chain: arguments come from kernels, one vector per batch, and each live
+// lane is one tuple. The partition count is the row scan's, so the shuffle
+// downstream merges partials in the same order either way.
+func (c *compiler) foldBatches(p *AggregatePlan, in Schema, groupIdx []int) (*mapreduce.Dataset[mapreduce.Pair[string, groupAcc]], error) {
 	scan, ops, err := buildColumnarOps(p.Input)
 	if err != nil {
 		return nil, err
 	}
-	in, err := p.Input.Schema()
-	if err != nil {
-		return nil, err
-	}
-	groupIdx := make([]int, len(p.GroupBy))
-	for i, g := range p.GroupBy {
-		idx, err := in.IndexOf(g)
-		if err != nil {
-			return nil, err
-		}
-		groupIdx[i] = idx
-	}
-	nAggs := len(p.Aggs)
-	argFns := make([]vecFn, nAggs)
+	argFns := make([]vecFn, len(p.Aggs))
 	for i, a := range p.Aggs {
 		if a.Func == AggCount {
 			continue
-		}
-		if a.Arg == nil {
-			return nil, fmt.Errorf("sql: aggregate %s(%s) needs an argument", a.Func, a.Name)
 		}
 		fn, kind, ok := vectorizeExpr(a.Arg, in)
 		if !ok || !numeric(kind) {
@@ -321,82 +279,38 @@ func (c *compiler) compileColumnarAggregate(p *AggregatePlan) (*mapreduce.Datase
 		}
 		argFns[i] = fn
 	}
-
 	src, err := c.openScan(scan)
 	if err != nil {
 		return nil, err
 	}
-	pairs := mapreduce.MapPartitions(src.slots, func(p int, _ []struct{}) ([]mapreduce.Pair[string, groupAcc], error) {
-		acc := make(map[string]*groupAcc)
-		var order []string
-		buf := make([]byte, 0, 64)
-		argCols := make([][]float64, nAggs)
-		src.run(p, ops, func(b *colbatch.Batch) {
+	return mapreduce.MapPartitions(src.slots, func(part int, _ []struct{}) ([]mapreduce.Pair[string, groupAcc], error) {
+		f := newAggFold(p)
+		argCols := make([][]float64, len(argFns))
+		src.run(part, ops, func(b *colbatch.Batch) {
 			for i, fn := range argFns {
 				if fn == nil {
-					argCols[i] = nil
 					continue
 				}
 				col := fn(b)
 				if col.Kind == colbatch.Float64 {
 					argCols[i] = col.F64
 				} else {
-					w := make([]float64, b.N)
-					colbatch.Widen(w, col.I64)
-					argCols[i] = w
+					argCols[i] = make([]float64, b.N)
+					colbatch.Widen(argCols[i], col.I64)
 				}
 			}
-			b.ForSel(func(ri int) {
-				buf = buf[:0]
-				for _, gi := range groupIdx {
-					buf = appendGroupKey(buf, b.Cols[gi], ri)
+			b.ForSel(func(lane int) {
+				for j, gi := range groupIdx {
+					f.keys[j] = cellValue(b.Cols[gi], lane)
 				}
-				st, ok := acc[string(buf)]
-				if !ok {
-					key := string(buf)
-					keys := make(Row, len(groupIdx))
-					for j, gi := range groupIdx {
-						keys[j] = cellValue(b.Cols[gi], ri)
-					}
-					st = &groupAcc{
-						Keys: keys,
-						State: aggState{
-							Count: 1,
-							Sums:  make([]float64, nAggs),
-							Mins:  make([]float64, nAggs),
-							Maxs:  make([]float64, nAggs),
-						},
-					}
-					for i, ac := range argCols {
-						if ac == nil {
-							continue
-						}
-						f := ac[ri]
-						st.State.Sums[i] = f
-						st.State.Mins[i] = f
-						st.State.Maxs[i] = f
-					}
-					acc[key] = st
-					order = append(order, key)
-					return
-				}
-				st.State.Count++
 				for i, ac := range argCols {
-					if ac == nil {
-						continue
+					if ac != nil {
+						f.args[i] = ac[lane]
 					}
-					f := ac[ri]
-					st.State.Sums[i] += f
-					st.State.Mins[i] = math.Min(st.State.Mins[i], f)
-					st.State.Maxs[i] = math.Max(st.State.Maxs[i], f)
 				}
+				f.add()
 			})
 		})
-		out := make([]mapreduce.Pair[string, groupAcc], len(order))
-		for i, k := range order {
-			out[i] = mapreduce.Pair[string, groupAcc]{Key: k, Value: *acc[k]}
-		}
-		return out, nil
-	})
-	return finalizeAggregate(c.eng, pairs, p.Aggs, len(p.GroupBy) == 0)
+		return f.partials(), nil
+	}), nil
 }

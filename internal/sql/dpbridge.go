@@ -45,7 +45,7 @@ type IndexedRow struct {
 // identical to the raw plan's. Only the root is lowered specially: the group
 // key is a dense row position, so instead of a string-keyed hash aggregate
 // and its shuffle, tallyInfluence counts into a []int64 (see there).
-// CompileDPCountRaw is the unoptimized baseline the equivalence tests
+// CompileDPCountRaw is the as-written reference the equivalence tests
 // compare against.
 func CompileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
 	return compileDPCount(eng, plan, protectedTable, interiorColumnar)
@@ -53,19 +53,9 @@ func CompileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string) (co
 
 // CompileDPCountRaw is CompileDPCount with the influence plan's interior
 // executed as written (no optimizer rewrites, row-at-a-time) — the
-// measurement baseline for the DP equivalence regression tests and the
-// bench "optimizer" experiment.
+// reference of the DP equivalence regression tests.
 func CompileDPCountRaw(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
 	return compileDPCount(eng, plan, protectedTable, interiorRaw)
-}
-
-// CompileDPCountRowOnly is CompileDPCount with the optimized influence plan
-// forced down the row-at-a-time path — the pre-physical-layer behaviour.
-// The DP equivalence tests compare it against CompileDPCount to pin that
-// columnar execution changes no release: same influence vector, same
-// neighbour samples, same ε.
-func CompileDPCountRowOnly(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
-	return compileDPCount(eng, plan, protectedTable, interiorRowOnly)
 }
 
 // dpIdxCol is the hidden row-index column threaded through the protected

@@ -15,49 +15,40 @@ import (
 // Every plan is first rewritten by Optimize, so no caller pays for work a
 // rule can eliminate (pushdown, pruning, join ordering/sizing — see
 // optimize.go), and then lowered through the physical layer (physical.go):
-// vectorizable Filter/Project/Aggregate chains over a scan run columnar via
-// colbatch kernels, everything else row-at-a-time. Both choices produce
-// byte-identical results; use ExecuteRowOnly to force the row path and
-// ExecuteRaw to run the tree as written.
+// vectorizable Filter/Project chains over a scan run columnar via colbatch
+// kernels, everything else row-at-a-time. An Aggregate folds whichever of
+// the two feeds it through the one accumulator (aggFold), so its result does
+// not depend on the choice. ExecuteRaw runs the tree as written.
 func Execute(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
 	return interiorColumnar.execute(eng, plan)
 }
 
-// ExecuteRowOnly runs the optimized plan entirely row-at-a-time — the
-// pre-physical-layer behaviour. It is the measurement baseline for the
-// columnar path: equivalence tests and the bench columnar sweep compare
-// Execute against ExecuteRowOnly on the same plan.
-func ExecuteRowOnly(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
-	return interiorRowOnly.execute(eng, plan)
-}
-
 // ExecuteRaw compiles the plan tree exactly as the caller built it, with no
-// optimizer rewrites and no columnar execution. It exists as the
-// measurement baseline: equivalence tests and the bench "optimizer"
-// experiment compare Execute against ExecuteRaw on the same plan.
+// optimizer rewrites and no columnar execution. It is the reference every
+// other result is judged against: equivalence tests and the bench
+// "optimizer" experiment compare Execute against ExecuteRaw on the same plan.
 func ExecuteRaw(eng *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
 	return interiorRaw.execute(eng, plan)
 }
 
 // interior is how an entry point runs the tree under a plan's root: as
-// rewritten by Optimize or as written, with vectorizable chains columnar or
-// everything row-at-a-time. The three in use are shared by the Execute and
-// the CompileDPCount families.
-type interior struct{ optimize, columnar bool }
+// rewritten by Optimize with vectorizable chains columnar, or as written and
+// row-at-a-time. The Execute and the CompileDPCount families share the two.
+type interior bool
 
-var (
-	interiorColumnar = interior{optimize: true, columnar: true}
-	interiorRowOnly  = interior{optimize: true}
-	interiorRaw      = interior{}
+const (
+	interiorColumnar interior = true
+	interiorRaw      interior = false
 )
 
 // lower returns the tree the interior executes for plan and a compiler set
 // to its strategy.
 func (in interior) lower(eng *mapreduce.Engine, plan Plan) (Plan, *compiler) {
-	if in.optimize {
-		plan, _ = Optimize(plan)
+	if in == interiorRaw {
+		return plan, &compiler{eng: eng}
 	}
-	return plan, &compiler{eng: eng, columnar: in.columnar}
+	plan, _ = Optimize(plan)
+	return plan, &compiler{eng: eng, columnar: true}
 }
 
 // execute runs plan, reporting schema and errors against the tree the
@@ -104,7 +95,9 @@ func ExecuteCount(eng *mapreduce.Engine, plan Plan) (int64, error) {
 // compiler lowers logical plans onto the engine. When columnar is set it
 // routes vectorizable subtrees (see physical.go for the shared eligibility
 // predicates) through the fused batch pipeline in colexec.go; otherwise
-// everything compiles row-at-a-time.
+// everything compiles row-at-a-time. The flag is set by interior.lower alone;
+// the equivalence tests clear it on an optimized plan to hold the kernels to
+// the row operators.
 type compiler struct {
 	eng      *mapreduce.Engine
 	columnar bool
@@ -127,11 +120,7 @@ func scanParts(eng *mapreduce.Engine, p *ScanPlan) int {
 func (c *compiler) compile(plan Plan) (*mapreduce.Dataset[Row], error) {
 	eng := c.eng
 	if c.columnar {
-		switch p := plan.(type) {
-		case *AggregatePlan:
-			if vectorizableAggregate(p) {
-				return c.compileColumnarAggregate(p)
-			}
+		switch plan.(type) {
 		case *FilterPlan, *ProjectPlan:
 			if vectorizableChain(plan) {
 				return c.compileColumnarChain(plan)
@@ -300,8 +289,82 @@ type aggState struct {
 	Maxs  []float64
 }
 
+// aggFold is the per-partition partial aggregation: one accumulator per
+// group, in first-seen order. It is the only place a tuple is folded into a
+// group, whichever feeder drives it — foldRows over a compiled row input,
+// foldBatches (colexec.go) over a resident image — so the partials of a
+// partition, and everything finalizeAggregate derives from them, are the same
+// bytes by construction: the same float operations in the same sequence, one
+// partial per key in first-seen order.
+type aggFold struct {
+	acc   map[string]*groupAcc
+	order []string
+	key   []byte
+	// keys and args are the feeder's scratch for the tuple being added: the
+	// group-key values and one argument per AggSpec. COUNT has none; its
+	// slot stays zero, here as in mergeGroups.
+	keys Row
+	args []float64
+}
+
+func newAggFold(p *AggregatePlan) *aggFold {
+	return &aggFold{
+		acc:  make(map[string]*groupAcc),
+		keys: make(Row, len(p.GroupBy)),
+		args: make([]float64, len(p.Aggs)),
+	}
+}
+
+// add folds the tuple in f.keys and f.args into its group. A group starts
+// as its first tuple rather than as zero plus it: 0 + -0 is +0.
+func (f *aggFold) add() {
+	f.key = appendRowKey(f.key[:0], f.keys)
+	g, ok := f.acc[string(f.key)]
+	if !ok {
+		n := len(f.args)
+		g = &groupAcc{
+			Keys:  append(Row(nil), f.keys...),
+			State: aggState{Count: 1, Sums: make([]float64, n), Mins: make([]float64, n), Maxs: make([]float64, n)},
+		}
+		copy(g.State.Sums, f.args)
+		copy(g.State.Mins, f.args)
+		copy(g.State.Maxs, f.args)
+		key := string(f.key)
+		f.acc[key] = g
+		f.order = append(f.order, key)
+		return
+	}
+	g.State.Count++
+	for i, v := range f.args {
+		g.State.Sums[i] += v
+		g.State.Mins[i] = math.Min(g.State.Mins[i], v)
+		g.State.Maxs[i] = math.Max(g.State.Maxs[i], v)
+	}
+}
+
+// partials emits one accumulator per group in first-seen order.
+func (f *aggFold) partials() []mapreduce.Pair[string, groupAcc] {
+	out := make([]mapreduce.Pair[string, groupAcc], len(f.order))
+	for i, k := range f.order {
+		out[i] = mapreduce.Pair[string, groupAcc]{Key: k, Value: *f.acc[k]}
+	}
+	return out
+}
+
+// compileAggregate lowers an AggregatePlan: a per-partition aggFold, fed by
+// batches when the input chain vectorizes and by rows otherwise, then the
+// ReduceByKey and rendering of finalizeAggregate.
 func (c *compiler) compileAggregate(p *AggregatePlan) (*mapreduce.Dataset[Row], error) {
-	eng := c.eng
+	pairs, err := c.partialAggregate(p)
+	if err != nil {
+		return nil, err
+	}
+	return finalizeAggregate(c.eng, pairs, p.Aggs, len(p.GroupBy) == 0)
+}
+
+// partialAggregate validates the aggregate against its input schema and
+// returns each partition's partials.
+func (c *compiler) partialAggregate(p *AggregatePlan) (*mapreduce.Dataset[mapreduce.Pair[string, groupAcc]], error) {
 	in, err := p.Input.Schema()
 	if err != nil {
 		return nil, err
@@ -317,13 +380,24 @@ func (c *compiler) compileAggregate(p *AggregatePlan) (*mapreduce.Dataset[Row], 
 		}
 		groupIdx[i] = idx
 	}
+	for _, a := range p.Aggs {
+		if a.Func != AggCount && a.Arg == nil {
+			return nil, fmt.Errorf("sql: aggregate %s(%s) needs an argument", a.Func, a.Name)
+		}
+	}
+	if c.columnar && vectorizableAggregate(p) {
+		return c.foldBatches(p, in, groupIdx)
+	}
+	return c.foldRows(p, in, groupIdx)
+}
+
+// foldRows feeds the fold from the compiled row input: bound argument
+// expressions, one tuple per row.
+func (c *compiler) foldRows(p *AggregatePlan, in Schema, groupIdx []int) (*mapreduce.Dataset[mapreduce.Pair[string, groupAcc]], error) {
 	args := make([]boundExpr, len(p.Aggs))
 	for i, a := range p.Aggs {
 		if a.Func == AggCount {
 			continue
-		}
-		if a.Arg == nil {
-			return nil, fmt.Errorf("sql: aggregate %s(%s) needs an argument", a.Func, a.Name)
 		}
 		b, kind, err := a.Arg.bind(in)
 		if err != nil {
@@ -334,75 +408,34 @@ func (c *compiler) compileAggregate(p *AggregatePlan) (*mapreduce.Dataset[Row], 
 		}
 		args[i] = b
 	}
-
 	ds, err := c.compile(p.Input)
 	if err != nil {
 		return nil, err
 	}
-
-	nAggs := len(p.Aggs)
-	toState := func(r Row) (mapreduce.Pair[string, aggState], error) {
-		st := aggState{
-			Count: 1,
-			Sums:  make([]float64, nAggs),
-			Mins:  make([]float64, nAggs),
-			Maxs:  make([]float64, nAggs),
-		}
-		for i, b := range args {
-			if b == nil {
-				continue
-			}
-			v, err := b(r)
-			if err != nil {
-				return mapreduce.Pair[string, aggState]{}, err
-			}
-			f, _ := v.AsFloat()
-			st.Sums[i] = f
-			st.Mins[i] = f
-			st.Maxs[i] = f
-		}
-		key := ""
-		for _, gi := range groupIdx {
-			key += r[gi].String() + "\x1f"
-		}
-		return mapreduce.Pair[string, aggState]{Key: key, Value: st}, nil
-	}
-
-	// Keep the group-key row values for output reconstruction.
-	type keyed struct {
-		Pair mapreduce.Pair[string, aggState]
-		Keys Row
-	}
-	keyedDS := mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([]keyed, error) {
-		out := make([]keyed, len(rows))
-		for i, r := range rows {
-			pair, err := toState(r)
-			if err != nil {
-				return nil, err
-			}
-			keys := make(Row, len(groupIdx))
+	return mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([]mapreduce.Pair[string, groupAcc], error) {
+		f := newAggFold(p)
+		for _, r := range rows {
 			for j, gi := range groupIdx {
-				keys[j] = r[gi]
+				f.keys[j] = r[gi]
 			}
-			out[i] = keyed{Pair: pair, Keys: keys}
+			for i, b := range args {
+				if b == nil {
+					continue
+				}
+				v, err := b(r)
+				if err != nil {
+					return nil, err
+				}
+				f.args[i], _ = v.AsFloat()
+			}
+			f.add()
 		}
-		return out, nil
-	})
-
-	pairs := mapreduce.Map(keyedDS, func(k keyed) mapreduce.Pair[string, groupAcc] {
-		return mapreduce.Pair[string, groupAcc]{
-			Key:   k.Pair.Key,
-			Value: groupAcc{State: k.Pair.Value, Keys: k.Keys},
-		}
-	})
-	return finalizeAggregate(eng, pairs, p.Aggs, len(p.GroupBy) == 0)
+		return f.partials(), nil
+	}), nil
 }
 
-// finalizeAggregate merges per-group accumulators and renders output rows.
-// It is shared by the row and columnar aggregate paths: both feed groupAcc
-// pairs through the same ReduceByKey(mergeGroups) and the same rendering,
-// which is what makes the two paths byte-identical downstream of the
-// partial aggregation.
+// finalizeAggregate merges the partitions' partials per group and renders
+// output rows.
 func finalizeAggregate(eng *mapreduce.Engine, pairs *mapreduce.Dataset[mapreduce.Pair[string, groupAcc]], specs []AggSpec, global bool) (*mapreduce.Dataset[Row], error) {
 	merged := mapreduce.ReduceByKey(pairs, mergeGroups)
 

@@ -15,7 +15,6 @@ var dpCompilers = []struct {
 	compile func(*mapreduce.Engine, Plan, string) (core.Query[IndexedRow], []IndexedRow, error)
 }{
 	{"columnar", CompileDPCount},
-	{"row-only", CompileDPCountRowOnly},
 	{"raw", CompileDPCountRaw},
 }
 

@@ -110,10 +110,20 @@ func (c *compiler) compileDistinct(p *DistinctPlan) (*mapreduce.Dataset[Row], er
 }
 
 // rowKey renders a row into a collision-safe string key.
-func rowKey(r Row) string {
-	key := ""
+func rowKey(r Row) string { return string(appendRowKey(nil, r)) }
+
+// appendRowKey appends the key rendering of r's cells to buf — the one
+// rendering behind group keys, Distinct and the tests' row comparisons.
+func appendRowKey(buf []byte, r Row) []byte {
 	for _, v := range r {
-		key += v.String() + "\x1f"
+		buf = appendKey(buf, v)
 	}
-	return key
+	return buf
+}
+
+// appendKey appends one cell of a key: the value as String renders it, then
+// a unit separator. Strings are quoted, so no cell can contain a bare
+// separator and distinct rows cannot collide.
+func appendKey(buf []byte, v Value) []byte {
+	return append(v.appendText(buf), 0x1f)
 }

@@ -3,16 +3,36 @@ package sql
 import (
 	"math"
 	"testing"
+
+	"upa/internal/mapreduce"
 )
 
-// assertByteIdentical runs plan through the columnar-enabled Execute and the
-// row-only baseline and requires identical rows in identical order — the
-// equivalence contract the physical layer promises (not just multiset
-// equality).
+// executeRows runs the optimized plan with every operator row-at-a-time: the
+// compiler Execute uses, with its columnar flag cleared.
+func executeRows(e *mapreduce.Engine, plan Plan) ([]Row, Schema, error) {
+	schema, err := plan.Schema()
+	if err != nil {
+		return nil, nil, err
+	}
+	optimized, _ := Optimize(plan)
+	ds, err := (&compiler{eng: e}).compile(optimized)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := ds.Collect()
+	return rows, schema, err
+}
+
+// assertByteIdentical runs plan through Execute and through executeRows and
+// requires identical rows in identical order — the equivalence contract the
+// physical layer promises (not just multiset equality). Filter and Project
+// keep a row form and a kernel form, so this is what holds the kernels and
+// the converters to the row operators; the aggregate above them is one fold
+// either way.
 func assertByteIdentical(t *testing.T, plan Plan) {
 	t.Helper()
 	colRows, colSchema, colErr := Execute(eng(), plan)
-	rowRows, rowSchema, rowErr := ExecuteRowOnly(eng(), plan)
+	rowRows, rowSchema, rowErr := executeRows(eng(), plan)
 	if (colErr == nil) != (rowErr == nil) {
 		t.Fatalf("error divergence: columnar=%v row=%v", colErr, rowErr)
 	}
@@ -185,7 +205,7 @@ func TestBuildPhysicalStrategies(t *testing.T) {
 }
 
 // TestColumnarAccountsBatches checks the engine metrics seam: the columnar
-// path reports batch windows, the row-only path reports none.
+// path reports batch windows, row-at-a-time execution reports none.
 func TestColumnarAccountsBatches(t *testing.T) {
 	plan := Where(wideScan(), Gt(Col("f"), Lit(Float(-100))))
 
@@ -199,12 +219,12 @@ func TestColumnarAccountsBatches(t *testing.T) {
 	}
 
 	e = eng()
-	if _, _, err := ExecuteRowOnly(e, plan); err != nil {
+	if _, _, err := executeRows(e, plan); err != nil {
 		t.Fatal(err)
 	}
 	m = e.Metrics()
 	if m.BatchesProcessed != 0 || m.RecordsBatched != 0 {
-		t.Fatalf("row-only execution reported %d batches over %d records", m.BatchesProcessed, m.RecordsBatched)
+		t.Fatalf("row execution reported %d batches over %d records", m.BatchesProcessed, m.RecordsBatched)
 	}
 }
 

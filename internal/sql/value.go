@@ -87,18 +87,21 @@ func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
 
 // String renders the value for diagnostics.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendText(nil)) }
+
+// appendText appends the value's String rendering to buf.
+func (v Value) appendText(buf []byte) []byte {
 	switch v.kind {
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(buf, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(buf, v.f, 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(buf, v.s)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.AppendBool(buf, v.b)
 	default:
-		return "<nil>"
+		return append(buf, "<nil>"...)
 	}
 }
 
