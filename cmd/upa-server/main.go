@@ -37,7 +37,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -469,8 +468,7 @@ type releaseResponse struct {
 
 func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body"})
+	if !decodeBody(w, r, 1<<16, &req) {
 		return
 	}
 	runner, err := s.w.ByName(req.Query)
@@ -503,12 +501,29 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// decodeBody decodes the request's JSON body into v, reading at most limit
+// bytes. An oversized body is answered 413 and a malformed one 400; it
+// reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+			"error": fmt.Sprintf("request body exceeds %d bytes", limit)})
+	} else {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body"})
+	}
+	return false
+}
+
 // handleQuery is the multi-tenant DP query endpoint: the serving layer
 // decides admission (budget, load) and caching before anything computes.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req serve.Request
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": "malformed request body"})
+	if !decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	rel, serr := s.svc.Query(r.Context(), req)

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"upa/internal/serve"
@@ -131,6 +132,21 @@ func TestQueryBadPlanShapeGolden(t *testing.T) {
 	// A syntactically broken body takes the same error schema.
 	if rec, _ := doJSON(t, h, http.MethodPost, "/query", `{notjson`); rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed body status = %d", rec.Code)
+	}
+}
+
+// TestQueryOversizedBodyRejected: a /query body past the 1 MiB limit is
+// answered 413 — not truncated into a 400 — and charges no ε.
+func TestQueryOversizedBodyRejected(t *testing.T) {
+	h := testServeServer(t, 1).routes()
+	body := `{"tenant":"acme","user":"` + strings.Repeat("a", 1<<20) + `","planJSON":` + adHocCountJSON + `,"epsilon":0.25,"seed":1}`
+	if rec, resp := doJSON(t, h, http.MethodPost, "/query", body); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d: %v", rec.Code, resp)
+	}
+	_, budget := doJSON(t, h, http.MethodGet, "/budget", "")
+	acme := budget["tenants"].([]any)[0].(map[string]any)
+	if acme["spent"].(float64) != 0 {
+		t.Errorf("oversized body charged ε: %v", acme)
 	}
 }
 

@@ -172,7 +172,7 @@ func runSpillPipeline(pairs []mapreduce.Pair[int, int], numParts int, budget int
 }
 
 // spillPipelineOnce exercises every spill site once: the keyed sum and the
-// join shuffle, the SortBy external sort, and a persisted source store.
+// join shuffle, the SortBy runs, and a persisted source store.
 func spillPipelineOnce(eng *mapreduce.Engine, pairs []mapreduce.Pair[int, int], numParts int) (string, error) {
 	d, err := mapreduce.FromSlice(eng, pairs, numParts)
 	if err != nil {

@@ -2,9 +2,8 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SortBy globally sorts the dataset by the given less function into
@@ -15,143 +14,113 @@ import (
 // The sort is stable, so records comparing equal keep their source order —
 // which keeps every downstream result deterministic.
 //
-// Within the engine's memory budget the sort is one in-memory pass. Past it,
-// SortBy switches to an external merge sort: each source partition is
-// stable-sorted and spilled as a sorted run, and every output partition is
-// produced by a streaming k-way merge over the runs (ties broken by source
-// run order), which yields exactly the record sequence a stable sort of the
-// concatenated partitions would — byte-identical output either way.
+// The sort is a merge sort over the source partitions: each is
+// stable-sorted into a run, the runs live in one partition store (in memory
+// within the engine's budget, spilled past it), and every output partition
+// is produced by a streaming k-way merge over the runs, ties broken by run
+// index. That yields exactly the record sequence a stable sort of the
+// concatenated partitions would, wherever the runs live.
 //
 // Every returned partition is an owned slice: downstream stages that mutate
-// or append to their input can never corrupt the shared sorted
-// materialization or their sibling partitions.
+// or append to their input can never corrupt the shared sorted runs or
+// their sibling partitions.
 func SortBy[T any](d *Dataset[T], numParts int, less func(a, b T) bool) (*Dataset[T], error) {
 	if numParts < 1 {
 		return nil, fmt.Errorf("mapreduce: numParts must be >= 1, got %d", numParts)
 	}
-	var shared memo[*sortedRep[T]]
+	var runs memo[*partStore[T]]
 	return &Dataset[T]{
 		eng:      d.eng,
 		numParts: numParts,
 		name:     d.name + ".sortBy",
 		compute: func(ctx context.Context, p int) ([]T, error) {
-			// The sorted parent is materialized once and shared by all output
+			// The runs are materialized once and shared by all output
 			// partitions; a failed materialization (e.g. a cancelled context)
 			// is retried on the next collection instead of being cached.
-			rep, err := shared.get(func() (*sortedRep[T], error) {
-				return materializeSorted(ctx, d, less)
+			st, err := runs.get(func() (*partStore[T], error) {
+				return sortRuns(ctx, d, less)
 			})
 			if err != nil {
 				return nil, err
 			}
-			return rep.partition(ctx, numParts, p)
+			return mergeRuns(ctx, st, less, numParts, p)
 		},
 	}, nil
 }
 
-// sortedRep is the shared materialization behind SortBy's output
-// partitions: either the fully sorted records in memory, or one sorted run
-// per source partition for the external merge.
-type sortedRep[T any] struct {
-	eng   *Engine
-	less  func(a, b T) bool
-	total int
-	mem   []T           // in-memory path
-	runs  []spillRun[T] // external path: sorted run per source partition
+// cmpOf adapts a less function to the three-way comparison slices wants.
+func cmpOf[T any](less func(a, b T) bool) func(a, b T) int {
+	return func(a, b T) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	}
 }
 
-// spillRun is one sorted run: on disk, or retained in memory when its spill
-// write failed past the retry policy (graceful degradation — a full disk
-// shrinks the external sort's capacity, it does not fail the job).
-type spillRun[T any] struct {
-	path  string // "" when the run fell back to memory
-	count int
-	mem   []T
-}
-
-// materializeSorted collects the parent and builds whichever representation
-// the memory budget allows. Both paths account one shuffle round of every
-// record — the data motion is the same, only its destination differs.
-func materializeSorted[T any](ctx context.Context, d *Dataset[T], less func(a, b T) bool) (*sortedRep[T], error) {
-	parts, err := d.CollectPartitionsCtx(ctx)
+// sortRuns collects the parent, stable-sorting a copy of each source
+// partition into a run inside the collecting task, and stores the runs. The
+// store's recovery hook re-derives one source partition from lineage and
+// sorts it again, so a run whose spill file rots heals like any other
+// materialization; the hook runs inline rather than on the worker pool,
+// keeping the engine's fault-invariant task accounting. The one shuffle
+// round of every record is accounted whether the runs stay in memory or
+// spill.
+func sortRuns[T any](ctx context.Context, d *Dataset[T], less func(a, b T) bool) (*partStore[T], error) {
+	cmp := cmpOf(less)
+	sortPart := func(ctx context.Context, p int) ([]T, error) {
+		part, err := d.partition(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		run := slices.Clone(part)
+		slices.SortStableFunc(run, cmp)
+		return run, nil
+	}
+	runs := make([][]T, d.numParts)
+	err := d.eng.runTasks(ctx, d.name+":collect", d.numParts, func(tctx context.Context, p int) (err error) {
+		runs[p], err = sortPart(tctx, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	st, err := storeParts(d.eng, d.name+".sortBy", runs, sortPart)
 	if err != nil {
 		return nil, err
 	}
 	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	rep := &sortedRep[T]{eng: d.eng, less: less, total: total}
-	if d.eng.spill.admit(estimatePartsBytes(parts)) {
-		owned := make([]T, 0, total)
-		for _, p := range parts {
-			owned = append(owned, p...)
-		}
-		sort.SliceStable(owned, func(i, j int) bool { return less(owned[i], owned[j]) })
-		rep.mem = owned
-		d.eng.AccountShuffle(total)
-		return rep, nil
-	}
-	// External path: stable-sort each source partition into a run and spill
-	// it. Run files are written in source-partition order so a retried
-	// materialization rewrites identical bytes. Writes run under the retry
-	// policy (spillWriteRetry verifies every landing, so a torn run file is
-	// caught and rewritten here, never discovered mid-merge); a run the
-	// disk keeps refusing is retained in memory instead.
-	site := d.name + ".sortBy"
-	prefix := fmt.Sprintf("%06d-%s", d.eng.spill.seq.Add(1), sanitizeSite(site))
-	rep.runs = make([]spillRun[T], len(parts))
-	for i, p := range parts {
-		run := make([]T, len(p))
-		copy(run, p)
-		sort.SliceStable(run, func(a, b int) bool { return less(run[a], run[b]) })
-		path, err := spillWriteRetry(d.eng, site, fmt.Sprintf("%s-%04d.spill", prefix, i), i, run)
-		if err != nil {
-			if errors.Is(err, errSpillClosed) {
-				return nil, err
-			}
-			d.eng.spill.retained.Add(estimateRecords(run))
-			d.eng.metrics.SpillFallbacksInMemory.Add(1)
-			rep.runs[i] = spillRun[T]{count: len(run), mem: run}
-			continue
-		}
-		rep.runs[i] = spillRun[T]{path: path, count: len(run)}
+	for _, run := range runs {
+		total += len(run)
 	}
 	d.eng.AccountShuffle(total)
-	return rep, nil
+	return st, nil
 }
 
-// partition returns output partition p — records [lo, hi) of the global
-// sorted order — as an owned slice.
-func (rep *sortedRep[T]) partition(ctx context.Context, numParts, p int) ([]T, error) {
-	lo, hi := sliceBounds(rep.total, numParts, p)
-	if rep.mem != nil {
-		out := make([]T, hi-lo)
-		copy(out, rep.mem[lo:hi])
-		return out, nil
+// mergeRuns returns output partition p — records [lo, hi) of the global
+// sorted order — as an owned slice, streaming a k-way merge of the runs.
+// Ties pick the lowest run index, and records within a run keep their
+// order, so the merged sequence equals a stable sort of the concatenated
+// source partitions. Memory stays bounded by one decode batch per spilled
+// run regardless of dataset size.
+func mergeRuns[T any](ctx context.Context, st *partStore[T], less func(a, b T) bool, numParts, p int) ([]T, error) {
+	k := len(st.counts)
+	total := 0
+	for _, n := range st.counts {
+		total += n
 	}
-	return rep.merge(ctx, lo, hi)
-}
-
-// merge streams a k-way merge of the sorted runs and returns records
-// [lo, hi) of the merged order. Ties pick the lowest run index, and records
-// within a run keep their order, so the merged sequence equals a stable
-// sort of the concatenated source partitions. Memory stays bounded by one
-// decode batch per run regardless of dataset size. Each run streams through
-// a runCursor, which recovers transient read faults and in-flight
-// corruption by reopening its file, so one flaky read does not abort the
-// whole merge.
-func (rep *sortedRep[T]) merge(ctx context.Context, lo, hi int) ([]T, error) {
-	cursors := make([]*runCursor[T], len(rep.runs))
-	heads := make([]T, len(rep.runs))
-	live := make([]bool, len(rep.runs))
-	for i, run := range rep.runs {
-		c := &runCursor[T]{eng: rep.eng, run: run, idx: i}
-		defer c.close()
-		cursors[i] = c
+	lo, hi := sliceBounds(total, numParts, p)
+	cursors := make([]*partCursor[T], k)
+	heads := make([]T, k)
+	live := make([]bool, k)
+	for i := range cursors {
+		cursors[i] = st.cursor(i)
+		defer cursors[i].close()
 		var err error
-		heads[i], live[i], err = c.next(ctx)
-		if err != nil {
+		if heads[i], live[i], err = cursors[i].next(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -159,125 +128,22 @@ func (rep *sortedRep[T]) merge(ctx context.Context, lo, hi int) ([]T, error) {
 	for emitted := 0; emitted < hi; emitted++ {
 		best := -1
 		for i := range heads {
-			if !live[i] {
-				continue
-			}
-			if best < 0 || rep.less(heads[i], heads[best]) {
+			if live[i] && (best < 0 || less(heads[i], heads[best])) {
 				best = i
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("mapreduce: external sort runs exhausted at record %d of %d", emitted, rep.total)
+			return nil, fmt.Errorf("mapreduce: sort runs exhausted at record %d of %d", emitted, total)
 		}
 		if emitted >= lo {
 			out = append(out, heads[best])
 		}
 		var err error
-		heads[best], live[best], err = cursors[best].next(ctx)
-		if err != nil {
+		if heads[best], live[best], err = cursors[best].next(ctx); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
-}
-
-// runCursor streams one sorted run with fault recovery. On a read error or
-// detected corruption it closes and reopens the run — re-verifying frame
-// checksums from the start and skipping the records already consumed —
-// under the engine's retry policy. Run files are verified at write time, so
-// the on-disk bytes are known-good and a reopen heals every transient
-// in-flight fault; what cannot be healed (true bit rot landing after the
-// verify) surfaces as the typed corruption error after bounded attempts.
-type runCursor[T any] struct {
-	eng *Engine
-	run spillRun[T]
-	idx int // run index, a stable backoff coordinate
-
-	r        *spillReader[T]
-	closeFn  func() error
-	consumed int // records already handed out, to skip after a reopen
-}
-
-func (c *runCursor[T]) next(ctx context.Context) (T, bool, error) {
-	var zero T
-	if c.run.mem != nil {
-		if c.consumed >= len(c.run.mem) {
-			return zero, false, nil
-		}
-		rec := c.run.mem[c.consumed]
-		c.consumed++
-		return rec, true, nil
-	}
-	maxAttempts := c.eng.policy.Attempts()
-	var lastErr error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return zero, false, err
-		}
-		if attempt > 1 {
-			if d := c.eng.policy.Backoff("sort-run-read", c.idx, attempt-1); d > 0 {
-				c.eng.metrics.BackoffNanos.Add(int64(d))
-				if !sleepCtx(ctx, d) {
-					return zero, false, ctx.Err()
-				}
-			}
-		}
-		rec, ok, err := c.read()
-		if err == nil {
-			return rec, ok, nil
-		}
-		if errors.Is(err, errSpillClosed) {
-			return zero, false, err
-		}
-		if errors.Is(err, ErrSpillCorrupt) {
-			c.eng.metrics.SpillCorruptionsDetected.Add(1)
-		}
-		lastErr = err
-		c.reset()
-	}
-	return zero, false, fmt.Errorf("mapreduce: sort run %d unreadable after %d attempts: %w",
-		c.idx, maxAttempts, lastErr)
-}
-
-// read returns the next record, opening the run and skipping past already
-// consumed records when the previous reader was torn down by a fault.
-func (c *runCursor[T]) read() (T, bool, error) {
-	var zero T
-	if c.r == nil {
-		r, closeFn, err := spillOpen[T](c.eng.spill, c.run.path)
-		if err != nil {
-			return zero, false, err
-		}
-		c.r, c.closeFn = r, closeFn
-		for skip := 0; skip < c.consumed; skip++ {
-			if _, ok, err := r.next(); err != nil {
-				return zero, false, err
-			} else if !ok {
-				return zero, false, corruptf("sort run %d ended at record %d while skipping to %d",
-					c.idx, skip, c.consumed)
-			}
-		}
-	}
-	rec, ok, err := c.r.next()
-	if err != nil {
-		return zero, false, err
-	}
-	if ok {
-		c.consumed++
-	}
-	return rec, ok, nil
-}
-
-// reset tears the reader down so the next attempt reopens the file.
-func (c *runCursor[T]) reset() {
-	if c.closeFn != nil {
-		c.closeFn()
-	}
-	c.r, c.closeFn = nil, nil
-}
-
-func (c *runCursor[T]) close() {
-	c.reset()
 }
 
 // Top returns the k greatest records under less (the analogue of Spark's
@@ -297,15 +163,16 @@ func TopCtx[T any](ctx context.Context, d *Dataset[T], k int, less func(a, b T) 
 	if k == 0 {
 		return nil, nil
 	}
+	cmp := cmpOf(less)
+	desc := func(a, b T) int { return cmp(b, a) }
 	partTops := make([][]T, d.numParts)
 	err := d.eng.runTasks(ctx, d.name+":top", d.numParts, func(tctx context.Context, p int) error {
 		part, err := d.partition(tctx, p)
 		if err != nil {
 			return err
 		}
-		local := make([]T, len(part))
-		copy(local, part)
-		sort.SliceStable(local, func(i, j int) bool { return less(local[j], local[i]) })
+		local := slices.Clone(part)
+		slices.SortStableFunc(local, desc)
 		if len(local) > k {
 			local = local[:k]
 		}
@@ -319,7 +186,7 @@ func TopCtx[T any](ctx context.Context, d *Dataset[T], k int, less func(a, b T) 
 	for _, t := range partTops {
 		merged = append(merged, t...)
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return less(merged[j], merged[i]) })
+	slices.SortStableFunc(merged, desc)
 	if len(merged) > k {
 		merged = merged[:k]
 	}

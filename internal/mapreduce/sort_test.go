@@ -89,35 +89,42 @@ func TestSortByStable(t *testing.T) {
 	}
 }
 
+// TestSortByProperty checks SortBy against a stable sort of the whole
+// input, for any input partitioning, any output partition count, and runs
+// kept in memory (budget -1) or spilled (budget 0). Keys collide heavily, so
+// the check also pins the merge's tie-break by source order.
 func TestSortByProperty(t *testing.T) {
-	eng := NewEngine()
-	f := func(raw []int16, partsRaw uint8) bool {
-		data := make([]int, len(raw))
+	f := func(raw []int16, partsRaw, outRaw uint8) bool {
+		data := make([]Pair[int, int], len(raw))
 		for i, v := range raw {
-			data[i] = int(v)
+			data[i] = Pair[int, int]{Key: int(v) >> 10, Value: i}
 		}
-		parts := int(partsRaw%5) + 1
-		d, err := FromSlice(eng, data, parts)
-		if err != nil {
-			return false
-		}
-		sorted, err := SortBy(d, parts, func(a, b int) bool { return a < b })
-		if err != nil {
-			return false
-		}
-		got, err := sorted.Collect()
-		if err != nil {
-			return false
-		}
-		want := make([]int, len(data))
+		want := make([]Pair[int, int], len(data))
 		copy(want, data)
-		sort.Ints(want)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Key < want[j].Key })
+		parts := int(partsRaw%5) + 1
+		outParts := int(outRaw%5) + 1
+		for _, budget := range []int64{-1, 0} {
+			eng := NewEngine(WithMemoryBudget(budget))
+			got, err := func() ([]Pair[int, int], error) {
+				defer eng.Close()
+				d, err := FromSlice(eng, data, parts)
+				if err != nil {
+					return nil, err
+				}
+				sorted, err := SortBy(d, outParts, func(a, b Pair[int, int]) bool { return a.Key < b.Key })
+				if err != nil {
+					return nil, err
+				}
+				return sorted.Collect()
+			}()
+			if err != nil || len(got) != len(want) {
 				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
 			}
 		}
 		return true

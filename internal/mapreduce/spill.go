@@ -33,7 +33,7 @@ import (
 //
 // Every frame is self-contained (its own gob type descriptors), so a reader
 // can stream record-by-record holding at most one decoded batch in memory —
-// which is what the external merge sort's k-way merge needs.
+// which is what SortBy's k-way merge needs.
 //
 // The codec must be deterministic: a retried task that rewrites its spill
 // file must produce the same bytes, or lineage recomputation under chaos

@@ -300,68 +300,93 @@ func TestSpillReadFaultRecovery(t *testing.T) {
 }
 
 // TestSpillRecomputeFromLineage drives the recovery path deterministically:
-// a persisted dataset's spill file is corrupted on disk (not in flight), so
-// every re-read fails its checksum and only lineage recomputation can
-// produce the records — which must match, bump SpillRecomputes, and heal the
-// file for the next reader.
+// a lineage-backed store's spill files are corrupted on disk (not in
+// flight), so every re-read fails its checksum and only lineage
+// recomputation can produce the records — which must match, bump
+// SpillRecomputes, and heal the file for the next reader. The persisted
+// case reads whole partitions; the sortBy case streams its runs through the
+// merge's cursors.
 func TestSpillRecomputeFromLineage(t *testing.T) {
-	eng := NewEngine(WithMemoryBudget(0), WithMaxAttempts(3))
-	defer eng.Close()
-	d, err := FromSlice(eng, intsUpTo(300), 2)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		match string // spill file name fragment of the store to rot
+		build func(t *testing.T, d *Dataset[int]) *Dataset[int]
+	}{
+		{"persist", "persist", func(t *testing.T, d *Dataset[int]) *Dataset[int] {
+			return Map(d, func(x int) int { return x * x }).Persist()
+		}},
+		{"sortBy", "sortBy", func(t *testing.T, d *Dataset[int]) *Dataset[int] {
+			sorted, err := SortBy(d, 3, func(a, b int) bool { return a > b })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sorted
+		}},
 	}
-	squared := Map(d, func(x int) int { return x * x }).Persist()
-	first, err := squared.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine(WithMemoryBudget(0), WithMaxAttempts(3))
+			defer eng.Close()
+			d, err := FromSlice(eng, intsUpTo(300), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := tc.build(t, d)
+			first, err := ds.Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Rot every persisted spill file on disk: flip one payload byte in place.
-	var rotted int
-	for _, f := range spillDirEntries(t, eng) {
-		if !strings.Contains(f, "persist") {
-			continue
-		}
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)-5] ^= 0xFF // inside the last frame's payload or CRC
-		if err := os.WriteFile(f, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rotted++
-	}
-	if rotted == 0 {
-		t.Fatal("no persisted spill files found to corrupt")
-	}
+			// Rot every matching spill file on disk: flip one payload byte in place.
+			var rotted int
+			for _, f := range spillDirEntries(t, eng) {
+				if !strings.Contains(f, tc.match) {
+					continue
+				}
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)-5] ^= 0xFF // inside the last frame's payload or CRC
+				if err := os.WriteFile(f, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rotted++
+			}
+			if rotted == 0 {
+				t.Fatalf("no %s spill files found to corrupt", tc.match)
+			}
 
-	second, err := squared.Collect()
-	if err != nil {
-		t.Fatalf("collect after on-disk rot: %v", err)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("value %d: %d before rot, %d recovered", i, first[i], second[i])
-		}
-	}
-	m := eng.Metrics()
-	if m.SpillCorruptionsDetected == 0 {
-		t.Error("on-disk rot never detected")
-	}
-	if m.SpillRecomputes == 0 {
-		t.Error("no lineage recomputation recorded")
-	}
+			second, err := ds.Collect()
+			if err != nil {
+				t.Fatalf("collect after on-disk rot: %v", err)
+			}
+			if len(second) != len(first) {
+				t.Fatalf("recovered %d records, want %d", len(second), len(first))
+			}
+			for i := range first {
+				if first[i] != second[i] {
+					t.Fatalf("value %d: %d before rot, %d recovered", i, first[i], second[i])
+				}
+			}
+			m := eng.Metrics()
+			if m.SpillCorruptionsDetected == 0 {
+				t.Error("on-disk rot never detected")
+			}
+			if m.SpillRecomputes == 0 {
+				t.Error("no lineage recomputation recorded")
+			}
 
-	// The heal rewrote the files: a third read must succeed without another
-	// recomputation.
-	recomputes := m.SpillRecomputes
-	if _, err := squared.Collect(); err != nil {
-		t.Fatalf("collect after heal: %v", err)
-	}
-	if got := eng.Metrics().SpillRecomputes; got != recomputes {
-		t.Errorf("healed file recomputed again: %d -> %d", recomputes, got)
+			// The heal rewrote the files: a third read must succeed without
+			// another recomputation.
+			recomputes := m.SpillRecomputes
+			if _, err := ds.Collect(); err != nil {
+				t.Fatalf("collect after heal: %v", err)
+			}
+			if got := eng.Metrics().SpillRecomputes; got != recomputes {
+				t.Errorf("healed file recomputed again: %d -> %d", recomputes, got)
+			}
+		})
 	}
 }
 

@@ -320,46 +320,63 @@ func storeParts[T any](eng *Engine, site string, parts [][]T, recompute func(ctx
 // get returns partition i: the shared in-memory slice (callers must treat
 // it as read-only, as with every engine-materialized partition) or an owned
 // slice decoded from the spill file.
-//
-// The read path distrusts the disk. A failed or corrupt read is retried
-// under the engine's retry policy; on detected corruption the partition is
-// re-materialized from lineage (recompute) and the file healed, so a torn
-// or rotten spill file costs a recomputation, not the job. Injected
-// transient faults clear on a later attempt; a store with no lineage (a
-// source) retries the read alone, which handles every transient fault and
-// honestly fails on true bit rot of irreproducible input.
 func (s *partStore[T]) get(ctx context.Context, i int) ([]T, error) {
 	if s.files == nil || s.files[i] == "" {
 		return s.mem[i], nil
 	}
+	var recs []T
+	recovered, recomputed, err := s.recoverRead(ctx, i, func() (rerr error) {
+		recs, rerr = spillRead[T](s.eng.spill, s.files[i], s.counts[i])
+		if rerr == nil && len(recs) != s.counts[i] {
+			rerr = corruptf("%s: partition %d decoded %d records, store expected %d",
+				s.site, i, len(recs), s.counts[i])
+		}
+		return rerr
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case recomputed:
+		return recovered, nil
+	}
+	return recs, nil
+}
+
+// recoverRead runs read — one attempt at partition i's spill file — and is
+// the store's single read-recovery path, shared by get and partCursor.
+//
+// The read path distrusts the disk. A failed or corrupt read is retried
+// under the engine's retry policy; on a store with lineage the failure is
+// answered by re-materializing the partition (recompute) and healing the
+// file, so a torn or rotten spill file costs a recomputation, not the job.
+// The recomputed records come back with recomputed set. Injected transient
+// faults clear on a later attempt; a store with no lineage (a source)
+// retries the read alone, which handles every transient fault and honestly
+// fails on true bit rot of irreproducible input.
+func (s *partStore[T]) recoverRead(ctx context.Context, i int, read func() error) (recs []T, recomputed bool, err error) {
 	eng := s.eng
 	maxAttempts := eng.policy.Attempts()
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if attempt > 1 {
 			if d := eng.policy.Backoff(s.site+":spill-read", i, attempt-1); d > 0 {
 				eng.metrics.BackoffNanos.Add(int64(d))
 				if !sleepCtx(ctx, d) {
-					return nil, ctx.Err()
+					return nil, false, ctx.Err()
 				}
 			}
 		}
-		recs, err := spillRead[T](eng.spill, s.files[i], s.counts[i])
-		if err == nil && len(recs) != s.counts[i] {
-			err = corruptf("%s: partition %d decoded %d records, store expected %d",
-				s.site, i, len(recs), s.counts[i])
-		}
+		err := read()
 		if err == nil {
-			return recs, nil
+			return nil, false, nil
 		}
 		if errors.Is(err, errSpillClosed) {
-			return nil, err
+			return nil, false, err
 		}
-		corrupt := errors.Is(err, ErrSpillCorrupt)
-		if corrupt {
+		if errors.Is(err, ErrSpillCorrupt) {
 			eng.metrics.SpillCorruptionsDetected.Add(1)
 		}
 		lastErr = err
@@ -372,15 +389,110 @@ func (s *partStore[T]) get(ctx context.Context, i int) ([]T, error) {
 			continue
 		}
 		if len(recs) != s.counts[i] {
-			return nil, fmt.Errorf("mapreduce: %s: partition %d recompute returned %d records, store expected %d — lineage is not deterministic",
+			return nil, false, fmt.Errorf("mapreduce: %s: partition %d recompute returned %d records, store expected %d — lineage is not deterministic",
 				s.site, i, len(recs), s.counts[i])
 		}
 		eng.metrics.SpillRecomputes.Add(1)
 		s.heal(i, recs)
-		return recs, nil
+		return recs, true, nil
 	}
-	return nil, fmt.Errorf("mapreduce: %s: partition %d unreadable after %d attempts: %w",
+	return nil, false, fmt.Errorf("mapreduce: %s: partition %d unreadable after %d attempts: %w",
 		s.site, i, maxAttempts, lastErr)
+}
+
+// partCursor streams partition i of a store one record at a time, holding
+// at most one decoded frame of a spilled partition in memory. Every read
+// goes through the store's recoverRead loop: after a fault the cursor tears
+// its reader down, and the next attempt reopens the file and skips the
+// records already handed out; when the store recomputes the partition from
+// lineage instead, the cursor continues from the same position in the
+// recomputed records.
+type partCursor[T any] struct {
+	s *partStore[T]
+	i int
+
+	spilled bool // reading the spill file; false once recs holds the partition
+	recs    []T
+	pos     int // records handed out so far
+
+	r       *spillReader[T]
+	closeFn func() error
+}
+
+// cursor returns a streaming cursor over partition i; the caller closes it.
+func (s *partStore[T]) cursor(i int) *partCursor[T] {
+	c := &partCursor[T]{s: s, i: i}
+	if s.files == nil || s.files[i] == "" {
+		c.recs = s.mem[i]
+	} else {
+		c.spilled = true
+	}
+	return c
+}
+
+// next returns the partition's next record, or ok=false at its end.
+func (c *partCursor[T]) next(ctx context.Context) (T, bool, error) {
+	if c.spilled {
+		var rec T
+		var ok bool
+		recs, recomputed, err := c.s.recoverRead(ctx, c.i, func() (rerr error) {
+			if rec, ok, rerr = c.read(); rerr != nil {
+				c.close()
+			}
+			return rerr
+		})
+		switch {
+		case err != nil:
+			return rec, false, err
+		case !recomputed:
+			return rec, ok, nil
+		}
+		c.close()
+		c.spilled, c.recs = false, recs
+	}
+	if c.pos >= len(c.recs) {
+		var zero T
+		return zero, false, nil
+	}
+	c.pos++
+	return c.recs[c.pos-1], true, nil
+}
+
+// read is one attempt at the next record from the spill file, opening it
+// and skipping past the records already handed out when the previous
+// reader was torn down by a fault.
+func (c *partCursor[T]) read() (rec T, ok bool, err error) {
+	if c.r == nil {
+		if c.r, c.closeFn, err = spillOpen[T](c.s.eng.spill, c.s.files[c.i]); err != nil {
+			return rec, false, err
+		}
+		for skip := 0; skip < c.pos; skip++ {
+			if _, ok, err = c.r.next(); err != nil {
+				return rec, false, err
+			} else if !ok {
+				return rec, false, corruptf("%s: partition %d ended at record %d while skipping to %d",
+					c.s.site, c.i, skip, c.pos)
+			}
+		}
+	}
+	if rec, ok, err = c.r.next(); err != nil {
+		return rec, false, err
+	}
+	if ok {
+		c.pos++
+	} else if c.pos != c.s.counts[c.i] {
+		return rec, false, corruptf("%s: partition %d streamed %d records, store expected %d",
+			c.s.site, c.i, c.pos, c.s.counts[c.i])
+	}
+	return rec, ok, nil
+}
+
+// close releases the cursor's open file, if any. Idempotent.
+func (c *partCursor[T]) close() {
+	if c.closeFn != nil {
+		c.closeFn()
+	}
+	c.r, c.closeFn = nil, nil
 }
 
 // heal rewrites partition i's spill file from recomputed records,
@@ -392,19 +504,6 @@ func (s *partStore[T]) heal(i int, recs []T) {
 	s.healMu.Lock()
 	defer s.healMu.Unlock()
 	_, _ = spillWriteRetry(s.eng, s.site, s.names[i], i, recs)
-}
-
-// count reports partition i's record count without reading it.
-func (s *partStore[T]) count(i int) int { return s.counts[i] }
-
-// spilled reports whether any of the store's partitions live on disk.
-func (s *partStore[T]) spilled() bool {
-	for _, f := range s.files {
-		if f != "" {
-			return true
-		}
-	}
-	return false
 }
 
 // Size estimation. The budget gates which representation a materialization
