@@ -16,10 +16,10 @@ var (
 )
 
 // BenchmarkCompileDPCount times one influence compilation per iteration —
-// the whole cost of a release-cache miss ahead of core.Run — for the three
-// shapes the serving benchmark drives: a filtered scan protecting its own
-// 100 000 rows, and two joins protecting their smaller side. Run with
-// -benchmem: bytes/op is the number the resident columnar image moves.
+// the whole cost of a release-cache miss ahead of core.Run — for every
+// canned DP shape: a filtered scan protecting its own 100 000 rows, and the
+// two joins protecting either side. Run with -benchmem: bytes/op is the
+// number the resident columnar image and the key-count maps move.
 func BenchmarkCompileDPCount(b *testing.B) {
 	db, err := tpch.Generate(tpch.Config{Lineitems: 100000, Skew: 0.2, Seed: 1})
 	if err != nil {
@@ -31,6 +31,8 @@ func BenchmarkCompileDPCount(b *testing.B) {
 	}{
 		{"tpch1_lineitem", "tpch1", "lineitem"},
 		{"tpch4_orders", "tpch4", "orders"},
+		{"tpch4_lineitem", "tpch4", "lineitem"},
+		{"tpch13_orders", "tpch13", "orders"},
 		{"tpch13_customer", "tpch13", "customer"},
 	}
 	for _, tc := range cases {

@@ -11,7 +11,7 @@ import (
 // converters, the batch source that cuts 1 024-row windows out of a
 // relation's resident image (ScanPlan.columns), and fused MapPartitions
 // pipelines that run whole Filter/Project chains (optionally feeding the
-// aggregate fold, or the DP bridge's influence tally) batch-at-a-time with
+// aggregate fold, or the DP bridge's key counts) batch-at-a-time with
 // the kernels vectorize.go compiles. Shuffles, joins, sorts and limits stay
 // row-based; the converters guarantee the columnar region is observationally
 // identical to the row path (same rows, same bytes, same order within each

@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 
-	"upa/internal/colbatch"
 	"upa/internal/core"
 	"upa/internal/mapreduce"
 )
@@ -44,7 +43,8 @@ type IndexedRow struct {
 // influence vector, the sampled neighbour set, and the ε charge — is
 // identical to the raw plan's. Only the root is lowered specially: the group
 // key is a dense row position, so instead of a string-keyed hash aggregate
-// and its shuffle, tallyInfluence counts into a []int64 (see there).
+// and its shuffle, tallyInfluence counts into a []int64 (see there) — per
+// join key, without joining, where the plan's shape allows (keycount.go).
 // CompileDPCountRaw is the as-written reference the equivalence tests
 // compare against.
 func CompileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
@@ -113,7 +113,8 @@ func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in 
 
 // tallyInfluence executes an influence plan — GROUP BY the hidden index,
 // COUNT(*) — and returns the count per protected row, zero for a row no
-// output tuple descends from. The plan's interior compiles as usual; its
+// output tuple descends from. A columnar plan keyCountPlan accepts is
+// counted per key; any other plan's interior compiles as usual, and its
 // root does not run as an aggregate. The group key is a row position in
 // [0, n), so each engine task counts its partition's surviving tuples into
 // its own []int64 of length n and returns it as its one output record, and
@@ -122,6 +123,9 @@ func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in 
 // partial from scratch and the engine keeps one result per task, so a retry
 // cannot count a tuple twice.
 func (c *compiler) tallyInfluence(plan Plan, n int) ([]int64, error) {
+	if kc, ok := keyCountPlan(plan); ok && c.columnar {
+		return c.countInfluence(kc, n)
+	}
 	agg, ok := plan.(*AggregatePlan)
 	if !ok {
 		return nil, fmt.Errorf("sql: internal: influence plan root is %T", plan)
@@ -137,59 +141,23 @@ func (c *compiler) tallyInfluence(plan Plan, n int) ([]int64, error) {
 	if in[idx].Kind != KindInt {
 		return nil, fmt.Errorf("sql: influence key has kind %s", in[idx].Kind)
 	}
-	// The hidden column holds row positions by construction; the range check
-	// only turns a same-named column of another table into an error instead
-	// of an index panic inside a task.
-	count := func(tally []int64, i int64) error {
-		if i < 0 || i >= int64(len(tally)) {
-			return fmt.Errorf("sql: influence key %d is not a row of the protected table (%d rows)", i, len(tally))
-		}
-		tally[i]++
-		return nil
+	ds, err := c.compile(agg.Input)
+	if err != nil {
+		return nil, err
 	}
-
-	var partials *mapreduce.Dataset[[]int64]
-	if c.columnar && vectorizableChain(agg.Input) {
-		scan, ops, err := buildColumnarOps(agg.Input)
-		if err != nil {
-			return nil, err
-		}
-		src, err := c.openScan(scan)
-		if err != nil {
-			return nil, err
-		}
-		partials = mapreduce.MapPartitions(src.slots, func(p int, _ []struct{}) ([][]int64, error) {
-			tally := make([]int64, n)
-			var err error
-			src.run(p, ops, func(b *colbatch.Batch) {
-				hidden := b.Cols[idx].I64
-				b.ForSel(func(lane int) {
-					if cerr := count(tally, hidden[lane]); cerr != nil {
-						err = cerr
-					}
-				})
-			})
-			return [][]int64{tally}, err
-		})
-	} else {
-		ds, err := c.compile(agg.Input)
-		if err != nil {
-			return nil, err
-		}
-		partials = mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([][]int64, error) {
-			tally := make([]int64, n)
-			for _, r := range rows {
-				i, ok := r[idx].AsInt()
-				if !ok {
-					return nil, fmt.Errorf("sql: influence key has kind %s", r[idx].Kind())
-				}
-				if err := count(tally, i); err != nil {
-					return nil, err
-				}
+	partials := mapreduce.MapPartitions(ds, func(_ int, rows []Row) ([][]int64, error) {
+		tally := make([]int64, n)
+		for _, r := range rows {
+			i, ok := r[idx].AsInt()
+			if !ok {
+				return nil, fmt.Errorf("sql: influence key has kind %s", r[idx].Kind())
 			}
-			return [][]int64{tally}, nil
-		})
-	}
+			if err := tallyAdd(tally, i, 1); err != nil {
+				return nil, err
+			}
+		}
+		return [][]int64{tally}, nil
+	})
 	collected, err := partials.Collect()
 	if err != nil {
 		return nil, err

@@ -18,11 +18,9 @@ var dpCompilers = []struct {
 	{"raw", CompileDPCountRaw},
 }
 
-// referenceInfluence computes the influence vector the slow, plainly right
-// way: the tagged tree under a real GROUP BY __protected_idx, COUNT(*),
-// executed as written through ExecuteRaw's hash aggregate. It is what the
-// dense tally replaced, kept here as the oracle.
-func referenceInfluence(t *testing.T, plan Plan, protectedTable string) []int64 {
+// influencePlanOf is compileDPCount's influence plan of a counting plan:
+// GROUP BY the hidden index, COUNT(*) over the tagged interior.
+func influencePlanOf(t *testing.T, plan Plan, protectedTable string) (Plan, *ScanPlan) {
 	t.Helper()
 	agg, err := countRootOf(plan)
 	if err != nil {
@@ -33,7 +31,17 @@ func referenceInfluence(t *testing.T, plan Plan, protectedTable string) []int64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := ExecuteRaw(eng(), GroupBy(tagged, []string{dpIdxCol}, AggSpec{Name: "influence", Func: AggCount}))
+	return GroupBy(tagged, []string{dpIdxCol}, AggSpec{Name: "influence", Func: AggCount}), protected
+}
+
+// referenceInfluence computes the influence vector the slow, plainly right
+// way: the tagged tree under a real GROUP BY __protected_idx, COUNT(*),
+// executed as written through ExecuteRaw's hash aggregate. It is what the
+// dense tally replaced, kept here as the oracle.
+func referenceInfluence(t *testing.T, plan Plan, protectedTable string) []int64 {
+	t.Helper()
+	perRow, protected := influencePlanOf(t, plan, protectedTable)
+	rows, _, err := ExecuteRaw(eng(), perRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,21 +76,88 @@ func assertInfluence(t *testing.T, plan Plan, protectedTable string, want []int6
 	}
 }
 
-// TestDenseInfluenceMatchesGroupBy is the tally's property test: over the
-// count plans of the optimizer's seeded plan generator (a scan or a join of
-// two scans, each side optionally filtered), protecting either table, the
-// dense vector of every DP compiler equals the reference GROUP BY.
+// countsKeys is the strategy probe: whether CompileDPCount computes the
+// influence of plan's protectedTable rows by key counting (true) or by the
+// tally over the materialized join (false).
+func countsKeys(t *testing.T, plan Plan, protectedTable string) bool {
+	t.Helper()
+	perRow, _ := influencePlanOf(t, plan, protectedTable)
+	compiled, _ := interiorColumnar.lower(eng(), perRow)
+	_, ok := keyCountPlan(compiled)
+	return ok
+}
+
+// Influence shapes beyond planGen.base, each deciding the DP bridge's
+// strategy one way.
+const (
+	shapeCrossFilter = iota // a filter over both join sides: falls back
+	shapeStringKey          // a join on string columns: counted
+	shapeFloatKey           // a join on float columns: falls back
+	shapeThreeWay           // a message through an intermediate relation: counted
+	influenceShapes
+)
+
+// influenceBase builds a join of two or three random tables in the given
+// shape, each side optionally filtered on its own columns.
+func (g *planGen) influenceBase(shape int) Plan {
+	left := g.table("l", 5+g.rng.Intn(16))
+	right := g.table("r", 2+g.rng.Intn(10))
+	lp := g.withSchema(left.Cols, func() Plan { return g.maybeFilter(left) })
+	rp := g.withSchema(right.Cols, func() Plan { return g.maybeFilter(right) })
+	switch shape {
+	case shapeCrossFilter:
+		return Where(JoinOn(lp, "l_key", rp, "r_key"), Lt(Col("l_i"), Col("r_i")))
+	case shapeStringKey:
+		return JoinOn(lp, "l_s", rp, "r_s")
+	case shapeFloatKey:
+		return JoinOn(lp, "l_f", rp, "r_f")
+	default:
+		// The third table hangs off r's non-key column, so protecting l
+		// counts x's keys into r's and r's into l's.
+		extra := g.table("x", 2+g.rng.Intn(10))
+		xp := g.withSchema(extra.Cols, func() Plan { return g.maybeFilter(extra) })
+		return JoinOn(lp, "l_key", JoinOn(rp, "r_i", xp, "x_key"), "r_key")
+	}
+}
+
+// TestDenseInfluenceMatchesGroupBy is the influence property test: over
+// the count plans of the optimizer's seeded plan generator (a scan or a join
+// of two scans, each side optionally filtered) and of influenceBase's
+// shapes, protecting each table in turn, the dense vector of every DP
+// compiler equals the reference GROUP BY. The strategy probe requires each
+// shape to take its strategy, and both strategies to run on at least ten of
+// the plans.
 func TestDenseInfluenceMatchesGroupBy(t *testing.T) {
-	const plans = 80
-	for i := 0; i < plans; i++ {
-		g := &planGen{rng: stats.NewRNG(0x9E3779B97F4A7C15).Split(uint64(i))}
-		plan := GroupBy(g.base(), nil, AggSpec{Name: "n", Func: AggCount})
+	const plans, perShape = 80, 10
+	strategies := map[bool]int{}
+	check := func(i int, plan Plan, counted func(table string) bool) {
+		plan = GroupBy(plan, nil, AggSpec{Name: "n", Func: AggCount})
 		for _, table := range TableNames(plan) {
+			got := countsKeys(t, plan, table)
+			if want := counted(table); got != want {
+				t.Errorf("plan%02d/%s: key counting %v, want %v: %s", i, table, got, want, Describe(plan))
+			}
+			strategies[got]++
 			t.Run(fmt.Sprintf("plan%02d/%s", i, table), func(t *testing.T) {
 				t.Logf("plan: %s", Describe(plan))
 				assertInfluence(t, plan, table, referenceInfluence(t, plan, table))
 			})
 		}
+	}
+	always := func(string) bool { return true }
+	for i := 0; i < plans; i++ {
+		g := &planGen{rng: stats.NewRNG(0x9E3779B97F4A7C15).Split(uint64(i))}
+		check(i, g.base(), always)
+	}
+	for i := plans; i < plans+influenceShapes*perShape; i++ {
+		g := &planGen{rng: stats.NewRNG(0x9E3779B97F4A7C15).Split(uint64(i))}
+		shape := i % influenceShapes
+		counted := shape == shapeStringKey || shape == shapeThreeWay
+		check(i, g.influenceBase(shape), func(string) bool { return counted })
+	}
+	if strategies[true] < 10 || strategies[false] < 10 {
+		t.Fatalf("key counting ran on %d plans, the fallback on %d: want at least 10 each",
+			strategies[true], strategies[false])
 	}
 }
 
