@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -104,11 +105,7 @@ func run(args []string) error {
 		return err
 	}
 	slog.Info("upa-server listening", slog.String("addr", *addr))
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.routes(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpServer := newHTTPServer(*addr, srv.routes())
 
 	// Serve until SIGINT/SIGTERM, then drain: stop accepting, give in-flight
 	// queries a deadline, and flush the serving ledger and enforcer state so
@@ -132,6 +129,29 @@ func run(args []string) error {
 		err = cerr
 	}
 	return err
+}
+
+// Timeouts of the listening server. Request bodies are capped at 1 MiB, so
+// reading one never needs long; the write timeout runs from the end of the
+// request headers to the end of the reply, so it bounds the slowest release
+// a client waits for; idle keep-alive connections are closed after a while.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the server that listens on addr and serves h.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // parseTenants parses the -tenants flag: comma-separated name:budget:userBudget
@@ -334,7 +354,34 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /history", s.handleHistory)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /jobs", s.handleJobs)
-	return mux
+	return recoverPanics(slog.Default(), mux)
+}
+
+// recoverPanics answers a request whose handler panicked with 500 and a
+// generic JSON error, and logs the method, path, panic value and stack to
+// logger. Neither the panic value nor the stack reaches the client. Every
+// handler writes its reply in one writeJSON call at its end, so a panic
+// leaves the reply unwritten. http.ErrAbortHandler is re-raised: it asks
+// net/http to drop the connection.
+func recoverPanics(logger *slog.Logger, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+				panic(v)
+			}
+			logger.Error("http handler panic",
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Any("panic", v),
+				slog.String("stack", string(debug.Stack())))
+			writeJSON(w, http.StatusInternalServerError, map[string]any{"error": "internal server error"})
+		}()
+		next.ServeHTTP(w, r)
+	})
 }
 
 // jobStage is one stage of a job record: the span the stage reported plus

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testServer(t *testing.T, statePath string) *server {
@@ -235,5 +239,78 @@ func TestAttackAcrossServerRestart(t *testing.T) {
 	}
 	if body["attackSuspected"] != true {
 		t.Errorf("identical rerun across restart not flagged: %v", body)
+	}
+}
+
+// TestHandlerPanicAnswers500 serves the real routes beside a panicking one
+// over a real listener: the panic is answered 500 with a generic JSON error
+// and logged with its method, path and value, the server keeps serving, and
+// the ε ledger is charged only for the query that succeeded.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	var logs bytes.Buffer
+	srv := testServeServer(t, 1)
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.routes())
+	mux.HandleFunc("POST /boom", func(http.ResponseWriter, *http.Request) { panic("boom: pre-noise 42") })
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer("", recoverPanics(slog.New(slog.NewJSONHandler(&logs, nil)), mux))
+	ts.Start()
+	defer ts.Close()
+
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+
+	code, body := post("/boom", "{}")
+	if code != http.StatusInternalServerError {
+		t.Fatalf("panicking handler status = %d: %s", code, body)
+	}
+	var reply map[string]any
+	if err := json.Unmarshal([]byte(body), &reply); err != nil || reply["error"] == nil {
+		t.Fatalf("panic reply is not a JSON error: %q", body)
+	}
+	if strings.Contains(body, "boom") || strings.Contains(body, "goroutine") {
+		t.Errorf("panic reply leaks the panic value or stack: %q", body)
+	}
+	for _, want := range []string{`"method":"POST"`, `"path":"/boom"`, `"panic":"boom: pre-noise 42"`} {
+		if !strings.Contains(logs.String(), want) {
+			t.Errorf("panic log lacks %s: %s", want, logs.String())
+		}
+	}
+
+	if code, body := post("/query", queryBody(0.25, 9)); code != http.StatusOK {
+		t.Fatalf("query after a panic: status = %d: %s", code, body)
+	}
+	if spent := srv.svc.Report()[0].Spent; spent != 0.25 {
+		t.Errorf("ε spent = %v, want only the successful query's 0.25", spent)
+	}
+}
+
+// TestHTTPServerTimeouts: the listening server bounds every phase of a
+// connection, not only the request headers.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s := newHTTPServer(":0", http.NotFoundHandler())
+	for name, got := range map[string]time.Duration{
+		"ReadHeaderTimeout": s.ReadHeaderTimeout,
+		"ReadTimeout":       s.ReadTimeout,
+		"WriteTimeout":      s.WriteTimeout,
+		"IdleTimeout":       s.IdleTimeout,
+	} {
+		if got <= 0 {
+			t.Errorf("%s = %v, want a positive bound", name, got)
+		}
+	}
+	if s.ReadTimeout < s.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout %v is shorter than ReadHeaderTimeout %v", s.ReadTimeout, s.ReadHeaderTimeout)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"time"
 
@@ -53,7 +54,9 @@ const (
 // the neighbouring samples to removals.
 //
 // data must hold at least two records (UPA targets big-data inputs; the
-// RANGE ENFORCER needs two non-empty partitions).
+// RANGE ENFORCER needs two non-empty partitions). The engine reads the
+// remaining records S' from data in place, so data must not be mutated
+// while the call is in progress.
 func Run[T any](sys *System, q Query[T], data []T, domain domainSampler[T]) (*Result, error) {
 	//upa:allow(ctxpropagation) public convenience wrapper: callers without a context land here
 	return RunCtx(context.Background(), sys, q, data, domain)
@@ -97,7 +100,6 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	var (
 		samples     []T
 		halves      []int // which RANGE ENFORCER partition each sample came from
-		sPrimeHalf  [2][]T
 		additions   []T
 		mappedPrime [2]*mapreduce.Dataset[State]
 		ms, msBar   []State
@@ -120,16 +122,6 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 
 	// --- Phase 1: Partition and Sample (§III) -------------------------------
 	g.Stage(StagePartitionSample, func(_ context.Context, sc *jobgraph.StageContext) error {
-		// partition-sample is the graph's only root, so it runs alone and the
-		// engine's spill counters can be delta-attributed to its span without
-		// racing a sibling stage. Later stages overlap; their spill traffic is
-		// visible in the release-level EngineDelta instead.
-		spillBefore := eng.Metrics()
-		defer func() {
-			d := eng.Metrics().Sub(spillBefore)
-			sc.AddSpill(d.SpilledBytes, d.SpillReads)
-			sc.AddSpillRecovery(d.SpillCorruptionsDetected, d.SpillRecomputes)
-		}()
 		// The RANGE ENFORCER requires the dataset split into two fixed
 		// partitions; on a cluster this repartitioning exchanges records
 		// between computers, which is the extra shuffle the paper attributes
@@ -142,23 +134,11 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		sampleIdx := rng.Split(1).SampleIndices(len(data), n)
 		samples = make([]T, n)
 		halves = make([]int, n)
-		inSample := make(map[int]bool, n)
 		for i, idx := range sampleIdx {
 			samples[i] = data[idx]
 			if idx >= mid {
 				halves[i] = 1
 			}
-			inSample[idx] = true
-		}
-		for idx, rec := range data {
-			if inSample[idx] {
-				continue
-			}
-			h := 0
-			if idx >= mid {
-				h = 1
-			}
-			sPrimeHalf[h] = append(sPrimeHalf[h], rec)
 		}
 		if domain != nil {
 			addRNG := rng.Split(2)
@@ -167,10 +147,8 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 				additions[i] = domain(addRNG)
 			}
 		}
-		// The mapped S' halves stay lazy so the scratch-recompute ablation
-		// re-executes the map, like lineage recomputation would.
 		var err error
-		mappedPrime, err = mapSPrime(eng, q, sPrimeHalf)
+		mappedPrime, err = mapSPrime(eng, q, data, mid, sampleIdx)
 		return err
 	})
 
@@ -182,7 +160,7 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 			return err
 		}
 		rsPrime, rsPrimeOK = combineOpt(reduce, eng, rsPrimeHalf[0], rsPrimeHalf[1])
-		bulk := int64(len(sPrimeHalf[0]) + len(sPrimeHalf[1]))
+		bulk := int64(len(data) - n)
 		sc.AddRecords(bulk)
 		if bulk > 1 {
 			sc.AddReduceOps(bulk - 1)
@@ -502,19 +480,26 @@ func mapThrough[T any](ctx context.Context, eng *mapreduce.Engine, q Query[T], r
 }
 
 // mapSPrime builds the lazily mapped datasets of the two remaining-record
-// halves. They stay lazy so the scratch-recompute ablation re-executes the
-// map, like lineage recomputation would.
-func mapSPrime[T any](eng *mapreduce.Engine, q Query[T], sPrimeHalf [2][]T) ([2]*mapreduce.Dataset[State], error) {
+// halves: S' of half h is data[:mid] or data[mid:] minus that half's sampled
+// positions, read in place by the engine rather than copied. The datasets
+// stay lazy so the scratch-recompute ablation re-executes the map, like
+// lineage recomputation would.
+func mapSPrime[T any](eng *mapreduce.Engine, q Query[T], data []T, mid int, sampleIdx []int) ([2]*mapreduce.Dataset[State], error) {
+	skip := slices.Clone(sampleIdx)
+	slices.Sort(skip)
+	cut, _ := slices.BinarySearch(skip, mid)
+	for k := cut; k < len(skip); k++ {
+		skip[k] -= mid
+	}
+	halfData := [2][]T{data[:mid], data[mid:]}
+	halfSkip := [2][]int{skip[:cut], skip[cut:]}
 	var out [2]*mapreduce.Dataset[State]
 	for h := 0; h < 2; h++ {
-		if len(sPrimeHalf[h]) == 0 {
+		size := len(halfData[h]) - len(halfSkip[h])
+		if size == 0 {
 			continue
 		}
-		parts := eng.Workers()
-		if parts > len(sPrimeHalf[h]) {
-			parts = len(sPrimeHalf[h])
-		}
-		ds, err := mapreduce.FromSlice(eng, sPrimeHalf[h], parts)
+		ds, err := mapreduce.FromSliceExcept(eng, halfData[h], halfSkip[h], min(eng.Workers(), size))
 		if err != nil {
 			return out, err
 		}

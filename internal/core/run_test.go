@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"upa/internal/mapreduce"
 	"upa/internal/stats"
@@ -178,6 +180,43 @@ func TestRunWithoutDomainSampler(t *testing.T) {
 	}
 	if len(res.RemovalOutputs) != 50 {
 		t.Errorf("removals = %d, want 50", len(res.RemovalOutputs))
+	}
+}
+
+// wideRecord is a 128-byte record, the size class of a TPC-H lineitem row.
+type wideRecord struct {
+	Key  int64
+	Vals [15]float64
+}
+
+// TestRunAllocatesLessThanTwoCopies pins that partition-sample reads S'
+// from the input in place: a release over 100 000 wide records allocates
+// less than twice the input's bytes in total. Copying S' on the driver, then
+// again into the engine, allocated about seven times the input.
+func TestRunAllocatesLessThanTwoCopies(t *testing.T) {
+	data := make([]wideRecord, 100_000)
+	for i := range data {
+		data[i].Key = int64(i)
+		data[i].Vals[0] = float64(i % 97)
+	}
+	q := Query[wideRecord]{
+		Name:      "wide-sum",
+		StateDim:  1,
+		OutputDim: 1,
+		Map:       func(r wideRecord) State { return State{r.Vals[0]} },
+	}
+	sys := newTestSystem(t, func(c *Config) { c.SampleSize = 1000 })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(sys, q, data, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	limit := 2 * uint64(len(data)) * uint64(unsafe.Sizeof(wideRecord{}))
+	t.Logf("release allocated %d bytes for a %d-byte input", allocated, limit/2)
+	if allocated >= limit {
+		t.Fatalf("release allocated %d bytes, want < %d (twice the %d-byte input)", allocated, limit, limit/2)
 	}
 }
 

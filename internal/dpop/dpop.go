@@ -16,6 +16,7 @@ package dpop
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"upa/internal/mapreduce"
 	"upa/internal/stats"
@@ -35,7 +36,9 @@ type DPDataset[T any] struct {
 // DPRead partitions data into n sampled differing records S and the
 // remaining records S' (the dpread constructor of Table I). Sampling is
 // uniform without replacement and deterministic in rng. n is clamped to
-// len(data); data must be non-empty.
+// len(data); data must be non-empty. S' reads data in place, so data must
+// not be mutated while the returned DPDataset, or any dataset derived from
+// it, is in use.
 func DPRead[T any](eng *mapreduce.Engine, data []T, n int, rng *stats.RNG) (*DPDataset[T], error) {
 	if eng == nil {
 		return nil, fmt.Errorf("dpop: nil engine")
@@ -50,26 +53,15 @@ func DPRead[T any](eng *mapreduce.Engine, data []T, n int, rng *stats.RNG) (*DPD
 		n = len(data)
 	}
 	idx := rng.SampleIndices(len(data), n)
-	inSample := make(map[int]bool, n)
 	samples := make([]T, n)
 	for i, j := range idx {
 		samples[i] = data[j]
-		inSample[j] = true
-	}
-	restSlice := make([]T, 0, len(data)-n)
-	for i, rec := range data {
-		if !inSample[i] {
-			restSlice = append(restSlice, rec)
-		}
-	}
-	parts := eng.Workers()
-	if parts > len(restSlice) {
-		parts = len(restSlice)
 	}
 	var rest *mapreduce.Dataset[T]
-	if len(restSlice) > 0 {
+	if size := len(data) - n; size > 0 {
+		slices.Sort(idx) // samples already hold the draw order
 		var err error
-		rest, err = mapreduce.FromSlice(eng, restSlice, parts)
+		rest, err = mapreduce.FromSliceExcept(eng, data, idx, min(eng.Workers(), size))
 		if err != nil {
 			return nil, err
 		}

@@ -51,23 +51,32 @@ func TestDPReadPartitionsCompletely(t *testing.T) {
 	if rest != 70 {
 		t.Fatalf("RestSize = %d, want 70", rest)
 	}
-	// S and S' are disjoint and together cover x.
-	seen := make(map[float64]bool, 100)
+	// S holds distinct records, and S' is x in its own order minus S: the
+	// two are disjoint and together cover x.
+	sampled := make(map[float64]bool, 30)
 	for _, v := range d.samples {
-		seen[v] = true
+		sampled[v] = true
+	}
+	if len(sampled) != 30 {
+		t.Fatalf("S holds %d distinct records, want 30", len(sampled))
+	}
+	var want []float64
+	for _, v := range seq(100) {
+		if !sampled[v] {
+			want = append(want, v)
+		}
 	}
 	restRecs, err := d.rest.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range restRecs {
-		if seen[v] {
-			t.Fatalf("record %v in both S and S'", v)
-		}
-		seen[v] = true
+	if len(restRecs) != len(want) {
+		t.Fatalf("S' = %v, want %v", restRecs, want)
 	}
-	if len(seen) != 100 {
-		t.Fatalf("S ∪ S' covers %d records, want 100", len(seen))
+	for i := range want {
+		if restRecs[i] != want[i] {
+			t.Fatalf("S' = %v, want x minus S in order: %v", restRecs, want)
+		}
 	}
 }
 

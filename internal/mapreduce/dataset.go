@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -48,6 +49,51 @@ func FromSlice[T any](eng *Engine, data []T, numParts int) (*Dataset[T], error) 
 		parts[p] = owned[lo:hi]
 	}
 	return fromStore(eng, parts)
+}
+
+// FromSliceExcept creates a dataset over data minus the positions in skip,
+// which must be sorted ascending, distinct and within [0, len(data)).
+// Partition p holds exactly the records FromSlice would put in partition p
+// of the compacted slice, in the same order, and the dataset carries the
+// same "source" lineage name. Unlike FromSlice it neither copies nor spills:
+// partitions read data in place when a task computes them, and the view is
+// not admitted to the engine's memory budget because the caller's slice is
+// already resident. The caller must not mutate data or skip while the
+// dataset is in use.
+func FromSliceExcept[T any](eng *Engine, data []T, skip []int, numParts int) (*Dataset[T], error) {
+	if numParts < 1 {
+		return nil, fmt.Errorf("mapreduce: numParts must be >= 1, got %d", numParts)
+	}
+	for k, i := range skip {
+		if i < 0 || i >= len(data) || (k > 0 && i <= skip[k-1]) {
+			return nil, fmt.Errorf("mapreduce: skip positions must be sorted, distinct and in [0, %d); position %d is %d", len(data), k, i)
+		}
+	}
+	size := len(data) - len(skip)
+	return &Dataset[T]{
+		eng:      eng,
+		numParts: numParts,
+		name:     "source",
+		compute: func(_ context.Context, p int) ([]T, error) {
+			lo, hi := sliceBounds(size, numParts, p)
+			// Compacted position c sits at data index c+k, where k counts
+			// the skipped positions before it: the first k with
+			// skip[k]-k > c, found by binary search since skip[k]-k is
+			// non-decreasing.
+			k := sort.Search(len(skip), func(k int) bool { return skip[k]-k > lo })
+			out := make([]T, 0, hi-lo)
+			for i := lo + k; len(out) < hi-lo; k++ {
+				end := len(data)
+				if k < len(skip) {
+					end = skip[k]
+				}
+				end = min(end, i+hi-lo-len(out))
+				out = append(out, data[i:end]...)
+				i = end + 1
+			}
+			return out, nil
+		},
+	}, nil
 }
 
 // FromPartitions creates a dataset whose partitions are exactly parts. The

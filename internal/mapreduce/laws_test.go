@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -166,5 +167,83 @@ func TestPartitioningInvarianceLaw(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Skip-view equivalence: FromSliceExcept(data, skip) partitions exactly as
+// FromSlice over the compacted slice does, and keeps the "source" lineage
+// name, so Map over it runs the same task sites as Map over a copy.
+func TestFromSliceExceptLaw(t *testing.T) {
+	eng := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	// Each shape picks whether position i of an n-record input is skipped.
+	shapes := []struct {
+		name    string
+		skipped func(i, n int) bool
+	}{
+		{"empty", func(int, int) bool { return false }},
+		{"sparse", func(int, int) bool { return rng.Intn(20) == 0 }},
+		{"dense", func(int, int) bool { return rng.Intn(10) != 0 }},
+		{"ends", func(i, n int) bool { return i == 0 || i == n-1 || rng.Intn(50) == 0 }},
+		{"every", func(int, int) bool { return true }},
+	}
+	for _, shape := range shapes {
+		name, skipped := shape.name, shape.skipped
+		for trial := 0; trial < 40; trial++ {
+			n := rng.Intn(2001)
+			if trial == 0 {
+				n = 0
+			}
+			data := make([]int, n)
+			var skip []int
+			var compacted []int
+			for i := range data {
+				data[i] = rng.Int()
+				if skipped(i, n) {
+					skip = append(skip, i)
+				} else {
+					compacted = append(compacted, data[i])
+				}
+			}
+			parts := rng.Intn(8) + 1
+			view, err := FromSliceExcept(eng, data, skip, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := FromSlice(eng, compacted, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := view.CollectPartitions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.CollectPartitions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := range want {
+				if !equalInts(got[p], want[p]) {
+					t.Fatalf("%s n=%d skip=%d parts=%d: partition %d = %v, want %v",
+						name, n, len(skip), parts, p, got[p], want[p])
+				}
+			}
+			count, err := view.Count()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if count != n-len(skip) {
+				t.Fatalf("%s n=%d skip=%d: Count = %d, want %d", name, n, len(skip), count, n-len(skip))
+			}
+			double := func(x int) int { return 2 * x }
+			if got, want := Map(view, double).Name(), Map(ref, double).Name(); got != want || got != "source.map" {
+				t.Fatalf("mapped view is named %q, FromSlice's map %q; want source.map", got, want)
+			}
+		}
+	}
+	for _, bad := range [][]int{{-1}, {3}, {1, 1}, {2, 1}} {
+		if _, err := FromSliceExcept(eng, []int{0, 1, 2}, bad, 1); err == nil {
+			t.Errorf("skip %v over 3 records accepted", bad)
+		}
 	}
 }
