@@ -387,26 +387,22 @@ func recoverPanics(logger *slog.Logger, next http.Handler) http.Handler {
 // jobStage is one stage of a job record: the span the stage reported plus
 // the cluster model's price for it.
 type jobStage struct {
-	Stage            string   `json:"stage"`
-	Deps             []string `json:"deps"`
-	DurationUS       float64  `json:"durationUs"`
-	Attempts         int      `json:"attempts"`
-	Speculative      int      `json:"speculative"`
-	Retries          int64    `json:"retries"`
-	TaskFaults       int64    `json:"taskFaults"`
-	BackoffUS        float64  `json:"backoffUs"`
-	Records          int64    `json:"records"`
-	ShuffledRecords  int64    `json:"shuffledRecords"`
-	ShuffleBytes     int64    `json:"shuffleBytes"`
-	ReduceOps        int64    `json:"reduceOps"`
-	CacheHits        int64    `json:"cacheHits"`
-	RecordsCombined  int64    `json:"recordsCombined"`
-	SpilledBytes     int64    `json:"spilledBytes"`
-	SpillReads       int64    `json:"spillReads"`
-	SpillCorruptions int64    `json:"spillCorruptions"`
-	SpillRecomputes  int64    `json:"spillRecomputes"`
-	SimUS            float64  `json:"simUs"`
-	Critical         bool     `json:"critical"`
+	Stage           string   `json:"stage"`
+	Deps            []string `json:"deps"`
+	DurationUS      float64  `json:"durationUs"`
+	Attempts        int      `json:"attempts"`
+	Speculative     int      `json:"speculative"`
+	Retries         int64    `json:"retries"`
+	TaskFaults      int64    `json:"taskFaults"`
+	BackoffUS       float64  `json:"backoffUs"`
+	Records         int64    `json:"records"`
+	ShuffledRecords int64    `json:"shuffledRecords"`
+	ShuffleBytes    int64    `json:"shuffleBytes"`
+	ReduceOps       int64    `json:"reduceOps"`
+	CacheHits       int64    `json:"cacheHits"`
+	RecordsCombined int64    `json:"recordsCombined"`
+	SimUS           float64  `json:"simUs"`
+	Critical        bool     `json:"critical"`
 }
 
 // jobRecord is one release's stage DAG as reported by GET /jobs.
@@ -450,26 +446,22 @@ func (s *server) recordJob(res *core.Result) {
 			deps = []string{} // keep "deps" an array, never null, in JSON
 		}
 		rec.Stages = append(rec.Stages, jobStage{
-			Stage:            span.Stage,
-			Deps:             deps,
-			DurationUS:       micros(span.Duration()),
-			Attempts:         span.Attempts,
-			Speculative:      span.Speculative,
-			Retries:          span.Retries,
-			TaskFaults:       span.TaskFaults,
-			BackoffUS:        micros(time.Duration(span.BackoffNanos)),
-			Records:          span.Records,
-			ShuffledRecords:  span.ShuffledRecords,
-			ShuffleBytes:     span.ShuffleBytes,
-			ReduceOps:        span.ReduceOps,
-			CacheHits:        span.CacheHits,
-			RecordsCombined:  span.RecordsCombined,
-			SpilledBytes:     span.SpilledBytes,
-			SpillReads:       span.SpillReads,
-			SpillCorruptions: span.SpillCorruptions,
-			SpillRecomputes:  span.SpillRecomputes,
-			SimUS:            micros(plan.Stages[i].Cost.Total()),
-			Critical:         critical[span.Stage],
+			Stage:           span.Stage,
+			Deps:            deps,
+			DurationUS:      micros(span.Duration()),
+			Attempts:        span.Attempts,
+			Speculative:     span.Speculative,
+			Retries:         span.Retries,
+			TaskFaults:      span.TaskFaults,
+			BackoffUS:       micros(time.Duration(span.BackoffNanos)),
+			Records:         span.Records,
+			ShuffledRecords: span.ShuffledRecords,
+			ShuffleBytes:    span.ShuffleBytes,
+			ReduceOps:       span.ReduceOps,
+			CacheHits:       span.CacheHits,
+			RecordsCombined: span.RecordsCombined,
+			SimUS:           micros(plan.Stages[i].Cost.Total()),
+			Critical:        critical[span.Stage],
 		})
 	}
 	s.jobsMu.Lock()

@@ -66,17 +66,6 @@ type Span struct {
 	RecordsPreCombine  int64 `json:"recordsPreCombine"`
 	RecordsPostCombine int64 `json:"recordsPostCombine"`
 	RecordsCombined    int64 `json:"recordsCombined"`
-	// SpilledBytes and SpillReads meter the stage's out-of-core traffic:
-	// bytes written to spill files when a materialization exceeded the
-	// engine's memory budget, and spill-file reads that streamed them back.
-	// Zero on engines without a budget.
-	SpilledBytes int64 `json:"spilledBytes"`
-	SpillReads   int64 `json:"spillReads"`
-	// SpillCorruptions counts spill reads the stage caught failing their
-	// integrity checks (typed ErrSpillCorrupt); SpillRecomputes counts
-	// partitions the stage re-materialized from lineage to recover them.
-	SpillCorruptions int64 `json:"spillCorruptions"`
-	SpillRecomputes  int64 `json:"spillRecomputes"`
 	// Err holds the stage's failure, if any.
 	Err string `json:"error,omitempty"`
 }

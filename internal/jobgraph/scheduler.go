@@ -21,10 +21,6 @@ type StageContext struct {
 	cacheHits          atomic.Int64
 	recordsPreCombine  atomic.Int64
 	recordsPostCombine atomic.Int64
-	spilledBytes       atomic.Int64
-	spillReads         atomic.Int64
-	spillCorruptions   atomic.Int64
-	spillRecomputes    atomic.Int64
 }
 
 // AddRecords reports n input records processed by the stage. Span counters
@@ -52,25 +48,6 @@ func (sc *StageContext) AddReduceOps(n int64) { sc.reduceOps.Add(n) }
 //upa:dpsink
 func (sc *StageContext) AddCacheHits(n int64) { sc.cacheHits.Add(n) }
 
-// AddSpill reports out-of-core traffic attributed to the stage: bytes
-// written to spill files and spill-file reads streaming them back.
-//
-//upa:dpsink
-func (sc *StageContext) AddSpill(bytes, reads int64) {
-	sc.spilledBytes.Add(bytes)
-	sc.spillReads.Add(reads)
-}
-
-// AddSpillRecovery reports storage-fault handling attributed to the stage:
-// spill reads that failed their integrity checks and partitions
-// re-materialized from lineage to heal them.
-//
-//upa:dpsink
-func (sc *StageContext) AddSpillRecovery(corruptions, recomputes int64) {
-	sc.spillCorruptions.Add(corruptions)
-	sc.spillRecomputes.Add(recomputes)
-}
-
 // AddCombine reports one map-side combine pass: pre records entered the
 // combiners and post combined records went on to the shuffle. The eliminated
 // difference lands in the span's RecordsCombined.
@@ -93,10 +70,6 @@ func (sc *StageContext) snapshot(span *Span) {
 	span.RecordsPreCombine = sc.recordsPreCombine.Load()
 	span.RecordsPostCombine = sc.recordsPostCombine.Load()
 	span.RecordsCombined = span.RecordsPreCombine - span.RecordsPostCombine
-	span.SpilledBytes = sc.spilledBytes.Load()
-	span.SpillReads = sc.spillReads.Load()
-	span.SpillCorruptions = sc.spillCorruptions.Load()
-	span.SpillRecomputes = sc.spillRecomputes.Load()
 }
 
 // Run validates the graph and executes it: every stage starts as soon as all

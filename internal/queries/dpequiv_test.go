@@ -74,7 +74,7 @@ type releaseOutcome struct {
 // release compiles the plan with the given DP compiler and runs one seeded
 // release on a fresh engine and system.
 func release(t *testing.T, plan sql.Plan, protected string,
-	compiler func(*mapreduce.Engine, sql.Plan, string) (core.Query[sql.IndexedRow], []sql.IndexedRow, error)) releaseOutcome {
+	compiler func(*mapreduce.Engine, sql.Plan, string) (core.Query[int64], []int64, error)) releaseOutcome {
 	t.Helper()
 	eng := mapreduce.NewEngine()
 	q, data, err := compiler(eng, plan, protected)

@@ -91,8 +91,8 @@ func TestDenseInfluenceMatchesGroupByOnTPCH(t *testing.T) {
 			if len(data) != n {
 				t.Fatalf("%d protected records, want %d", len(data), n)
 			}
-			for i, ir := range data {
-				if got := q.Map(ir)[0]; got != want[i] {
+			for i, v := range data {
+				if got := q.Map(v)[0]; got != want[i] {
 					t.Fatalf("influence of row %d = %v, reference GROUP BY says %v", i, got, want[i])
 				}
 			}
@@ -127,7 +127,9 @@ func releaseOn(t *testing.T, eng *mapreduce.Engine, plan sql.Plan, protected str
 // in-memory engine, bit for bit. Influence compilation reads the resident
 // images and counts per key, so it materializes nothing and must not spill
 // at all; the release that follows still spills, which keeps the spill codec
-// on every plan's path.
+// on every plan's path. A release's records are its influences, so what
+// spills is the sample's numbers, not its tuples: at most 16 bytes per
+// sampled record, spill-file headers included.
 func TestDPReleaseIdenticalWhenSpilling(t *testing.T) {
 	rels := NewRelations(influenceDB(t))
 	for _, tc := range dpCases {
@@ -147,8 +149,13 @@ func TestDPReleaseIdenticalWhenSpilling(t *testing.T) {
 				t.Fatalf("influence compilation spilled %d bytes", spilled)
 			}
 			spilling := releaseOn(t, eng, plan, tc.protected)
-			if eng.Metrics().SpilledBytes == 0 {
+			spilled := eng.Metrics().SpilledBytes
+			if spilled == 0 {
 				t.Fatal("compile and release spilled nothing: the run proves nothing about the spill path")
+			}
+			if bound := int64(16 * spilling.res.SampleSize); spilled > bound {
+				t.Fatalf("compile and release spilled %d bytes, more than %d for %d sampled records",
+					spilled, bound, spilling.res.SampleSize)
 			}
 			assertSameRelease(t, inMemory, spilling)
 		})

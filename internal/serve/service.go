@@ -384,8 +384,8 @@ func (s *Service) computeRelease(ctx context.Context, plan sql.Plan, protected, 
 	}
 
 	var (
-		q    core.Query[sql.IndexedRow]
-		data []sql.IndexedRow
+		q    core.Query[int64]
+		data []int64
 		res  *core.Result
 	)
 	g := jobgraph.New("serve:"+queryName,

@@ -3,24 +3,25 @@ package sql_test
 import (
 	"testing"
 
+	"upa/internal/core"
 	"upa/internal/mapreduce"
 	"upa/internal/queries"
 	"upa/internal/sql"
 	"upa/internal/tpch"
 )
 
-// compiled and aggregated keep the benchmarked calls' results live.
+// compiled, released and aggregated keep the benchmarked calls' results
+// live.
 var (
-	compiled   []sql.IndexedRow
+	compiled   []int64
+	released   *core.Result
 	aggregated []sql.Row
 )
 
-// BenchmarkCompileDPCount times one influence compilation per iteration —
-// the whole cost of a release-cache miss ahead of core.Run — for every
-// canned DP shape: a filtered scan protecting its own 100 000 rows, and the
-// two joins protecting either side. Run with -benchmem: bytes/op is the
-// number the resident columnar image and the key-count maps move.
-func BenchmarkCompileDPCount(b *testing.B) {
+// benchDPCount runs one sub-benchmark per canned DP shape — a filtered scan
+// protecting its own 100 000 rows, and the two joins protecting either side
+// — timing op on a fresh engine, with allocations reported.
+func benchDPCount(b *testing.B, op func(b *testing.B, eng *mapreduce.Engine, plan sql.Plan, protected string)) {
 	db, err := tpch.Generate(tpch.Config{Lineitems: 100000, Skew: 0.2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -46,14 +47,49 @@ func BenchmarkCompileDPCount(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, data, err := sql.CompileDPCount(eng, plan, tc.protected)
-				if err != nil {
-					b.Fatal(err)
-				}
-				compiled = data
+				op(b, eng, plan, tc.protected)
 			}
 		})
 	}
+}
+
+// BenchmarkCompileDPCount times one influence compilation per iteration —
+// the whole cost of a release-cache miss ahead of core.Run. Run with
+// -benchmem: bytes/op is the number the resident columnar image and the
+// key-count maps move.
+func BenchmarkCompileDPCount(b *testing.B) {
+	benchDPCount(b, func(b *testing.B, eng *mapreduce.Engine, plan sql.Plan, protected string) {
+		_, data, err := sql.CompileDPCount(eng, plan, protected)
+		if err != nil {
+			b.Fatal(err)
+		}
+		compiled = data
+	})
+}
+
+// BenchmarkDPCountRelease times a whole release-cache miss per iteration:
+// the influence compilation and the core.Run release over its records, at
+// n = 1 000 and ε = 0.1. Run with -benchmem: bytes/op and allocs/op are
+// what one DP-count release costs end to end below the serving layer.
+func BenchmarkDPCountRelease(b *testing.B) {
+	benchDPCount(b, func(b *testing.B, eng *mapreduce.Engine, plan sql.Plan, protected string) {
+		q, data, err := sql.CompileDPCount(eng, plan, protected)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.SampleSize = 1000
+		cfg.Epsilon = 0.1
+		sys, err := core.NewSystem(eng, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Run(sys, q, data, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		released = res
+	})
 }
 
 // BenchmarkAggregateOverJoin times the row-fed aggregate: a join has no

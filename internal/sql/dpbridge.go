@@ -7,19 +7,15 @@ import (
 	"upa/internal/mapreduce"
 )
 
-// IndexedRow is one protected-table row tagged with its position, the
-// record type of DP-compiled plans.
-type IndexedRow struct {
-	Idx int
-	Row Row
-}
-
 // CompileDPCount lowers a global counting plan into a UPA query protecting
-// the rows of the named base table: the returned query's Mapper gives each
-// protected row its exact join fan-out through the plan (how many output
-// tuples vanish if the row does), computed in a single engine execution by
-// threading a hidden row-index column through the Filter/Join tree and
-// counting the surviving tuples per index.
+// the rows of the named base table. The returned records are the protected
+// rows' influences, one per row in table order: row i's exact join fan-out
+// through the plan (how many output tuples vanish if the row does), computed
+// in a single engine execution by threading a hidden row-index column
+// through the Filter/Join tree and counting the surviving tuples per index.
+// The query's Mapper is the identity on that number, so M(x) is the record
+// itself: no tuple is carried and no lookup table is broadcast. The returned
+// slice is freshly allocated and owned by the caller.
 //
 // Together with core.Run this turns any supported SQL count into an
 // end-to-end iDP release — the SparkSQL-query path of the paper's
@@ -28,7 +24,8 @@ type IndexedRow struct {
 // and Scans, with the protected table appearing exactly once.
 //
 // The influence vector is computed against the full input and reused for
-// the sampled neighbouring datasets, like every broadcast in §V-B; addition
+// the sampled neighbouring datasets: removing a protected row removes exactly
+// its own record and no other row's influence changes; addition
 // neighbours need a domain-aware rebinding and are not sampled here (pass a
 // nil domain to core.Run).
 //
@@ -47,14 +44,14 @@ type IndexedRow struct {
 // join key, without joining, where the plan's shape allows (keycount.go).
 // CompileDPCountRaw is the as-written reference the equivalence tests
 // compare against.
-func CompileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
+func CompileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[int64], []int64, error) {
 	return compileDPCount(eng, plan, protectedTable, interiorColumnar)
 }
 
 // CompileDPCountRaw is CompileDPCount with the influence plan's interior
 // executed as written (no optimizer rewrites, row-at-a-time) — the
 // reference of the DP equivalence regression tests.
-func CompileDPCountRaw(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[IndexedRow], []IndexedRow, error) {
+func CompileDPCountRaw(eng *mapreduce.Engine, plan Plan, protectedTable string) (core.Query[int64], []int64, error) {
 	return compileDPCount(eng, plan, protectedTable, interiorRaw)
 }
 
@@ -62,8 +59,8 @@ func CompileDPCountRaw(eng *mapreduce.Engine, plan Plan, protectedTable string) 
 // scan during influence compilation.
 const dpIdxCol = "__protected_idx"
 
-func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in interior) (core.Query[IndexedRow], []IndexedRow, error) {
-	var zero core.Query[IndexedRow]
+func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in interior) (core.Query[int64], []int64, error) {
+	var zero core.Query[int64]
 	// The same structural validation admission control runs pre-charge;
 	// passing it here guarantees the unexported helpers below cannot fail on
 	// shape (the remaining error paths are execution errors).
@@ -75,40 +72,23 @@ func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in 
 		return zero, nil, err
 	}
 	protected := findScans(agg.Input, protectedTable)[0]
-	rows, err := protected.rows()
-	if err != nil {
-		return zero, nil, err
-	}
-
 	tagged, err := tagProtectedScan(agg.Input, protected, dpIdxCol)
 	if err != nil {
 		return zero, nil, err
 	}
 	perRow := GroupBy(tagged, []string{dpIdxCol}, AggSpec{Name: "influence", Func: AggCount})
 	compiled, c := in.lower(eng, perRow)
-	influence, err := c.tallyInfluence(compiled, len(rows))
+	influence, err := c.tallyInfluence(compiled, protected.numRows())
 	if err != nil {
 		return zero, nil, err
 	}
-	// Ship the influence vector as a broadcast, like any §V-B lookup.
-	broadcast, err := mapreduce.NewBroadcast(eng, influence, len(influence))
-	if err != nil {
-		return zero, nil, err
-	}
-
-	data := make([]IndexedRow, len(rows))
-	for i, r := range rows {
-		data[i] = IndexedRow{Idx: i, Row: r}
-	}
-	q := core.Query[IndexedRow]{
+	q := core.Query[int64]{
 		Name:      "dpcount:" + protectedTable,
 		StateDim:  1,
 		OutputDim: 1,
-		Map: func(ir IndexedRow) core.State {
-			return core.State{float64(broadcast.Value()[ir.Idx])}
-		},
+		Map:       func(v int64) core.State { return core.State{float64(v)} },
 	}
-	return q, data, nil
+	return q, influence, nil
 }
 
 // tallyInfluence executes an influence plan — GROUP BY the hidden index,

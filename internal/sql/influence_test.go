@@ -12,7 +12,7 @@ import (
 
 var dpCompilers = []struct {
 	name    string
-	compile func(*mapreduce.Engine, Plan, string) (core.Query[IndexedRow], []IndexedRow, error)
+	compile func(*mapreduce.Engine, Plan, string) (core.Query[int64], []int64, error)
 }{
 	{"columnar", CompileDPCount},
 	{"raw", CompileDPCountRaw},
@@ -65,11 +65,11 @@ func assertInfluence(t *testing.T, plan Plan, protectedTable string, want []int6
 		if len(data) != len(want) {
 			t.Fatalf("%s: %d protected records, want %d", dc.name, len(data), len(want))
 		}
-		for i, ir := range data {
-			if ir.Idx != i {
-				t.Fatalf("%s: record %d carries index %d", dc.name, i, ir.Idx)
+		for i, v := range data {
+			if v != want[i] {
+				t.Fatalf("%s: record %d = %d, want influence %d", dc.name, i, v, want[i])
 			}
-			if got := q.Map(ir)[0]; got != float64(want[i]) {
+			if got := q.Map(v)[0]; got != float64(want[i]) {
 				t.Fatalf("%s: influence of row %d = %v, want %d", dc.name, i, got, want[i])
 			}
 		}
