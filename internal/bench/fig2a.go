@@ -69,11 +69,7 @@ func Fig2a(cfg Config) ([]SensitivityRow, error) {
 				a.upa = append(a.upa, res.EmpiricalLocalSensitivity[d])
 			}
 
-			plan, err := r.FLEXPlan(eng)
-			if err != nil {
-				return nil, err
-			}
-			if fs, err := plan.LocalSensitivity(); err == nil {
+			if fs, err := r.FLEXPlan().LocalSensitivity(); err == nil {
 				a.flexSupported = true
 				// FLEX emits one scalar bound; it applies to the count
 				// output (coordinate 0).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"upa/internal/mapreduce"
 	"upa/internal/queries"
 )
 
@@ -26,19 +25,14 @@ func Table2(cfg Config) ([]SupportRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := mapreduce.NewEngine()
 	rows := make([]SupportRow, 0, 9)
 	for _, r := range w.All() {
-		plan, err := r.FLEXPlan(eng)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", r.Name(), err)
-		}
 		rows = append(rows, SupportRow{
 			Query:         r.Name(),
 			DatasetRows:   r.DatasetSize(),
 			Kind:          r.Kind(),
 			UPASupported:  true,
-			FLEXSupported: plan.Supported(),
+			FLEXSupported: r.FLEXPlan().Supported(),
 		})
 	}
 	return rows, nil

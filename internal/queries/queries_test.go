@@ -67,13 +67,9 @@ func TestAllNineQueriesPresent(t *testing.T) {
 
 func TestSupportMatrixMatchesTableII(t *testing.T) {
 	w := testWorkload(t)
-	eng := mapreduce.NewEngine()
 	flexSupported := 0
 	for _, r := range w.All() {
-		plan, err := r.FLEXPlan(eng)
-		if err != nil {
-			t.Fatalf("%s: FLEXPlan: %v", r.Name(), err)
-		}
+		plan := r.FLEXPlan()
 		if plan.Supported() != r.FLEXSupported() {
 			t.Errorf("%s: plan support %v != runner support %v", r.Name(), plan.Supported(), r.FLEXSupported())
 		}
@@ -272,11 +268,7 @@ func TestGroundTruthSensitivities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := w.TPCH4().FLEXPlan(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flexSens, err := plan.LocalSensitivity()
+	flexSens, err := w.TPCH4().FLEXPlan().LocalSensitivity()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +289,7 @@ func TestFLEXOverestimatesMultiJoinQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		plan, err := r.FLEXPlan(eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flexSens, err := plan.LocalSensitivity()
+		flexSens, err := r.FLEXPlan().LocalSensitivity()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,6 +368,37 @@ func TestJoinQueriesShuffleTwiceUnderUPA(t *testing.T) {
 	if upaShuffles < 2*vanillaShuffles {
 		t.Errorf("UPA shuffles = %d, vanilla = %d; want at least double (§V-C)",
 			upaShuffles, vanillaShuffles)
+	}
+}
+
+// TestUPAAccountsOneRoundPerJoin pins what a UPA release adds to the
+// engine counters over a vanilla run of the same query: the RANGE
+// ENFORCER's repartition of the whole dataset, plus joinDP's second round
+// of 2n differing tuples for every Join (§V-C), and nothing else.
+func TestUPAAccountsOneRoundPerJoin(t *testing.T) {
+	w := testWorkload(t)
+	joins := map[string]int{"TPCH4": 1, "TPCH13": 1, "TPCH11": 1, "TPCH16": 2, "TPCH21": 5}
+	for _, r := range w.All() {
+		vanillaEng := mapreduce.NewEngine()
+		if _, err := r.RunVanilla(vanillaEng); err != nil {
+			t.Fatalf("%s: RunVanilla: %v", r.Name(), err)
+		}
+		upaEng := mapreduce.NewEngine()
+		sys := testSystem(t, upaEng)
+		if _, err := r.RunUPA(sys); err != nil {
+			t.Fatalf("%s: RunUPA: %v", r.Name(), err)
+		}
+		vanilla, upa := vanillaEng.Metrics(), upaEng.Metrics()
+		j := int64(joins[r.Name()])
+		n := int64(min(sys.Config().SampleSize, r.DatasetSize()))
+		if got, want := upa.ShuffleRounds-vanilla.ShuffleRounds, j+1; got != want {
+			t.Errorf("%s: UPA adds %d shuffle rounds, want %d (one per Join plus the enforcer's)",
+				r.Name(), got, want)
+		}
+		if got, want := upa.RecordsShuffled-vanilla.RecordsShuffled, j*2*n+int64(r.DatasetSize()); got != want {
+			t.Errorf("%s: UPA adds %d records shuffled, want %d (2n = %d per Join plus the dataset)",
+				r.Name(), got, want, 2*n)
+		}
 	}
 }
 

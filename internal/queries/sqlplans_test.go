@@ -154,10 +154,7 @@ func TestSQLFLEXExtractionMatchesHandBuilt(t *testing.T) {
 			if !fromSQL.CountQuery {
 				t.Fatal("count plan not detected")
 			}
-			handBuilt, err := tt.runner.FLEXPlan(eng)
-			if err != nil {
-				t.Fatal(err)
-			}
+			handBuilt := tt.runner.FLEXPlan()
 			sqlSens, err := fromSQL.LocalSensitivity()
 			if err != nil {
 				t.Fatal(err)

@@ -57,8 +57,8 @@ func (w *Workload) TPCH1() Runner {
 			}
 			return q, db.Lineitems, db.RandomLineitem, nil
 		},
-		plan: func(*mapreduce.Engine) (flex.Plan, error) {
-			return flex.Plan{Name: "TPCH1", CountQuery: true}, nil
+		plan: func() flex.Plan {
+			return flex.Plan{Name: "TPCH1", CountQuery: true}
 		},
 	}
 }
@@ -96,20 +96,14 @@ func (w *Workload) TPCH4() Runner {
 			}
 			return q, db.Orders, db.RandomOrder, nil
 		},
-		plan: func(eng *mapreduce.Engine) (flex.Plan, error) {
-			ordersKey, err := relation.KeyFrequency(eng, db.Orders, func(o tpch.Order) int { return o.OrderKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			lineKey, err := relation.KeyFrequency(eng, db.Lineitems, func(l tpch.Lineitem) int { return l.OrderKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
+		plan: func() flex.Plan {
+			ordersKey := relation.StatsOf(db.Orders, func(o tpch.Order) int { return o.OrderKey })
+			lineKey := relation.StatsOf(db.Lineitems, func(l tpch.Lineitem) int { return l.OrderKey })
 			return flex.Plan{
 				Name:       "TPCH4",
 				CountQuery: true,
 				Joins:      []flex.Join{{Left: ordersKey, Right: lineKey}},
-			}, nil
+			}
 		},
 	}
 }
@@ -143,20 +137,14 @@ func (w *Workload) TPCH13() Runner {
 			}
 			return q, db.Orders, db.RandomOrder, nil
 		},
-		plan: func(eng *mapreduce.Engine) (flex.Plan, error) {
-			custKey, err := relation.KeyFrequency(eng, db.Customers, func(c tpch.Customer) int { return c.CustKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			orderCust, err := relation.KeyFrequency(eng, db.Orders, func(o tpch.Order) int { return o.CustKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
+		plan: func() flex.Plan {
+			custKey := relation.StatsOf(db.Customers, func(c tpch.Customer) int { return c.CustKey })
+			orderCust := relation.StatsOf(db.Orders, func(o tpch.Order) int { return o.CustKey })
 			return flex.Plan{
 				Name:       "TPCH13",
 				CountQuery: true,
 				Joins:      []flex.Join{{Left: custKey, Right: orderCust}},
-			}, nil
+			}
 		},
 	}
 }
@@ -203,23 +191,11 @@ func (w *Workload) TPCH16() Runner {
 			}
 			return q, db.PartSupps, db.RandomPartSupp, nil
 		},
-		plan: func(eng *mapreduce.Engine) (flex.Plan, error) {
-			psPart, err := relation.KeyFrequency(eng, db.PartSupps, func(ps tpch.PartSupp) int { return ps.PartKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			partKey, err := relation.KeyFrequency(eng, db.Parts, func(p tpch.Part) int { return p.PartKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			psSupp, err := relation.KeyFrequency(eng, db.PartSupps, func(ps tpch.PartSupp) int { return ps.SuppKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			suppKey, err := relation.KeyFrequency(eng, db.Suppliers, func(s tpch.Supplier) int { return s.SuppKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
+		plan: func() flex.Plan {
+			psPart := relation.StatsOf(db.PartSupps, func(ps tpch.PartSupp) int { return ps.PartKey })
+			partKey := relation.StatsOf(db.Parts, func(p tpch.Part) int { return p.PartKey })
+			psSupp := relation.StatsOf(db.PartSupps, func(ps tpch.PartSupp) int { return ps.SuppKey })
+			suppKey := relation.StatsOf(db.Suppliers, func(s tpch.Supplier) int { return s.SuppKey })
 			return flex.Plan{
 				Name:       "TPCH16",
 				CountQuery: true,
@@ -227,7 +203,7 @@ func (w *Workload) TPCH16() Runner {
 					{Left: psPart, Right: partKey},
 					{Left: psSupp, Right: suppKey},
 				},
-			}, nil
+			}
 		},
 	}
 }
@@ -297,28 +273,13 @@ func (w *Workload) TPCH21() Runner {
 			}
 			return q, db.Lineitems, db.RandomLineitem, nil
 		},
-		plan: func(eng *mapreduce.Engine) (flex.Plan, error) {
+		plan: func() flex.Plan {
 			nationStats := relation.ColumnStats{RowCount: len(db.Nations), Distinct: len(db.Nations), MaxFreq: 1}
-			suppNation, err := relation.KeyFrequency(eng, db.Suppliers, func(s tpch.Supplier) int { return s.NationKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			suppKey, err := relation.KeyFrequency(eng, db.Suppliers, func(s tpch.Supplier) int { return s.SuppKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			lineSupp, err := relation.KeyFrequency(eng, db.Lineitems, func(l tpch.Lineitem) int { return l.SuppKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			lineOrder, err := relation.KeyFrequency(eng, db.Lineitems, func(l tpch.Lineitem) int { return l.OrderKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
-			orderKey, err := relation.KeyFrequency(eng, db.Orders, func(o tpch.Order) int { return o.OrderKey })
-			if err != nil {
-				return flex.Plan{}, err
-			}
+			suppNation := relation.StatsOf(db.Suppliers, func(s tpch.Supplier) int { return s.NationKey })
+			suppKey := relation.StatsOf(db.Suppliers, func(s tpch.Supplier) int { return s.SuppKey })
+			lineSupp := relation.StatsOf(db.Lineitems, func(l tpch.Lineitem) int { return l.SuppKey })
+			lineOrder := relation.StatsOf(db.Lineitems, func(l tpch.Lineitem) int { return l.OrderKey })
+			orderKey := relation.StatsOf(db.Orders, func(o tpch.Order) int { return o.OrderKey })
 			return flex.Plan{
 				Name:       "TPCH21",
 				CountQuery: true,
@@ -329,7 +290,7 @@ func (w *Workload) TPCH21() Runner {
 					{Left: lineOrder, Right: lineOrder},    // l1 ⋈ l2 (exists)
 					{Left: lineOrder, Right: lineOrder},    // l1 ⋈ l3 (not exists)
 				},
-			}, nil
+			}
 		},
 	}
 }

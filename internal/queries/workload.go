@@ -50,9 +50,9 @@ type Runner interface {
 	DatasetSize() int
 	// RunVanilla evaluates the query with no DP machinery.
 	RunVanilla(eng *mapreduce.Engine) ([]float64, error)
-	// RunUPA releases the query through a UPA system. For join queries the
-	// broadcast join is executed twice (remaining tuples, then differing
-	// tuples), doubling the shuffle rounds exactly as §V-C describes.
+	// RunUPA releases the query through a UPA system. For join queries it
+	// also accounts joinDP's second round, one shuffle of the 2n differing
+	// tuples per Join (§V-C).
 	RunUPA(sys *core.System) (*core.Result, error)
 	// GroundTruth computes the exact neighbouring-output census by brute
 	// force: all removals plus nAdditions sampled additions.
@@ -60,7 +60,7 @@ type Runner interface {
 	// FLEXPlan returns the query as FLEX's static analysis models it. For
 	// unsupported queries the plan's LocalSensitivity returns
 	// flex.ErrUnsupported.
-	FLEXPlan(eng *mapreduce.Engine) (flex.Plan, error)
+	FLEXPlan() flex.Plan
 }
 
 // Workload is a generated database plus the fixed query parameters (model
@@ -151,7 +151,7 @@ type runner[T any] struct {
 	size  int
 	joins int // number of Join operators in the plan
 	bind  func(eng *mapreduce.Engine) (core.Query[T], []T, func(*stats.RNG) T, error)
-	plan  func(eng *mapreduce.Engine) (flex.Plan, error)
+	plan  func() flex.Plan
 }
 
 func (r *runner[T]) Name() string        { return r.name }
@@ -172,12 +172,11 @@ func (r *runner[T]) RunUPA(sys *core.System) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.joins > 0 {
-		// Second join-and-shuffle round over the differing tuples (§V-C):
-		// vanilla Spark shuffles once per Join, UPA twice.
-		if _, _, _, err := r.bind(sys.Engine()); err != nil {
-			return nil, err
-		}
+	// joinDP's second round joins and shuffles the 2n differing tuples,
+	// the n sampled removals and n additions, once per Join (§V-C).
+	n := min(sys.Config().SampleSize, len(data))
+	for range r.joins {
+		sys.Engine().AccountShuffle(2 * n)
 	}
 	return core.Run(sys, q, data, domain)
 }
@@ -193,13 +192,9 @@ func (r *runner[T]) GroundTruth(eng *mapreduce.Engine, nAdditions int, rng *stat
 	return bruteforce.LocalSensitivity(eng, q, data, domain, nAdditions, rng)
 }
 
-func (r *runner[T]) FLEXPlan(eng *mapreduce.Engine) (flex.Plan, error) {
-	return r.plan(eng)
-}
+func (r *runner[T]) FLEXPlan() flex.Plan { return r.plan() }
 
 // unsupportedPlan is the FLEXPlan of every non-count query.
-func unsupportedPlan(name string) func(*mapreduce.Engine) (flex.Plan, error) {
-	return func(*mapreduce.Engine) (flex.Plan, error) {
-		return flex.Plan{Name: name, CountQuery: false}, nil
-	}
+func unsupportedPlan(name string) func() flex.Plan {
+	return func() flex.Plan { return flex.Plan{Name: name, CountQuery: false} }
 }

@@ -1,15 +1,11 @@
-// Package relation provides the relational metadata layer over the engine:
-// column statistics (row counts, distinct keys, maximum key frequency)
-// computed as MapReduce jobs. FLEX's static analysis consumes exactly this
-// metadata — it never looks at actual join matches, which is the root of its
-// overestimation (§II-B).
+// Package relation provides the relational metadata layer: column
+// statistics (row counts, distinct keys, maximum key frequency) counted in
+// memory. FLEX's static analysis consumes exactly this metadata — it never
+// looks at actual join matches, which is the root of its overestimation
+// (§II-B) — and the SQL optimizer orders joins by it.
 package relation
 
-import (
-	"fmt"
-
-	"upa/internal/mapreduce"
-)
+import "fmt"
 
 // ColumnStats summarizes one join column of one relation.
 type ColumnStats struct {
@@ -22,44 +18,11 @@ type ColumnStats struct {
 	MaxFreq int
 }
 
-// KeyFrequency computes the statistics of the column selected by key over
-// records, as a ReduceByKey job on the engine.
-func KeyFrequency[T any, K comparable](eng *mapreduce.Engine, records []T, key func(T) K) (ColumnStats, error) {
-	if len(records) == 0 {
-		return ColumnStats{}, nil
-	}
-	parts := eng.Workers()
-	if parts > len(records) {
-		parts = len(records)
-	}
-	if parts < 1 {
-		parts = 1
-	}
-	ds, err := mapreduce.FromSlice(eng, records, parts)
-	if err != nil {
-		return ColumnStats{}, err
-	}
-	ones := mapreduce.Map(ds, func(t T) mapreduce.Pair[K, int] {
-		return mapreduce.Pair[K, int]{Key: key(t), Value: 1}
-	})
-	counts, err := mapreduce.ReduceByKey(ones, func(a, b int) int { return a + b }).Collect()
-	if err != nil {
-		return ColumnStats{}, err
-	}
-	stats := ColumnStats{RowCount: len(records), Distinct: len(counts)}
-	for _, p := range counts {
-		if p.Value > stats.MaxFreq {
-			stats.MaxFreq = p.Value
-		}
-	}
-	return stats, nil
-}
-
-// StatsOf computes the same statistics as KeyFrequency in memory, without
-// an engine — the hook the SQL optimizer's join ordering uses at
-// plan-rewrite time, when no job should run. Like KeyFrequency it exposes
-// only count aggregates (row count, distinct keys, top frequency), the
-// metadata FLEX already consumes, never individual key values.
+// StatsOf computes the statistics of the column selected by key over
+// records, in one pass and without an engine job, so the SQL optimizer can
+// call it at plan-rewrite time. It exposes only count aggregates (row count,
+// distinct keys, top frequency), the metadata FLEX consumes, never
+// individual key values.
 func StatsOf[T any, K comparable](records []T, key func(T) K) ColumnStats {
 	counts := make(map[K]int, len(records))
 	for _, t := range records {

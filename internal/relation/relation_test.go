@@ -1,18 +1,13 @@
 package relation
 
 import (
+	"math/rand/v2"
 	"testing"
-
-	"upa/internal/mapreduce"
 )
 
 func TestKeyFrequency(t *testing.T) {
-	eng := mapreduce.NewEngine()
 	records := []string{"a", "b", "a", "c", "a", "b"}
-	stats, err := KeyFrequency(eng, records, func(s string) string { return s })
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := StatsOf(records, func(s string) string { return s })
 	if stats.RowCount != 6 {
 		t.Errorf("RowCount = %d, want 6", stats.RowCount)
 	}
@@ -28,23 +23,15 @@ func TestKeyFrequency(t *testing.T) {
 }
 
 func TestKeyFrequencyEmpty(t *testing.T) {
-	eng := mapreduce.NewEngine()
-	stats, err := KeyFrequency(eng, nil, func(s string) string { return s })
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := StatsOf(nil, func(s string) string { return s })
 	if stats != (ColumnStats{}) {
 		t.Errorf("empty relation stats = %+v, want zero", stats)
 	}
 }
 
 func TestKeyFrequencyDerivedKey(t *testing.T) {
-	eng := mapreduce.NewEngine()
 	records := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	stats, err := KeyFrequency(eng, records, func(x int) int { return x % 3 })
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := StatsOf(records, func(x int) int { return x % 3 })
 	if stats.Distinct != 3 {
 		t.Errorf("Distinct = %d, want 3", stats.Distinct)
 	}
@@ -53,14 +40,8 @@ func TestKeyFrequencyDerivedKey(t *testing.T) {
 	}
 }
 
-// TestKeyFrequencySingleRecord pins the parts clamp: one record on a
-// multi-worker engine must still produce at least one partition.
 func TestKeyFrequencySingleRecord(t *testing.T) {
-	eng := mapreduce.NewEngine()
-	stats, err := KeyFrequency(eng, []string{"only"}, func(s string) string { return s })
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := StatsOf([]string{"only"}, func(s string) string { return s })
 	want := ColumnStats{RowCount: 1, Distinct: 1, MaxFreq: 1}
 	if stats != want {
 		t.Errorf("single-record stats = %+v, want %+v", stats, want)
@@ -70,22 +51,41 @@ func TestKeyFrequencySingleRecord(t *testing.T) {
 	}
 }
 
-// TestStatsOfMatchesKeyFrequency pins that the in-memory helper and the
-// engine job agree, including on empty input.
+// TestStatsOfMatchesKeyFrequency pins StatsOf against a brute-force
+// pairwise count over seeded random keys with repeats, and on empty input.
 func TestStatsOfMatchesKeyFrequency(t *testing.T) {
-	records := []string{"a", "b", "a", "c", "a", "b"}
-	key := func(s string) string { return s }
-	inMem := StatsOf(records, key)
-	eng := mapreduce.NewEngine()
-	viaJob, err := KeyFrequency(eng, records, key)
-	if err != nil {
-		t.Fatal(err)
+	bruteForce := func(keys []int) ColumnStats {
+		s := ColumnStats{RowCount: len(keys)}
+		for i, k := range keys {
+			freq, seenBefore := 0, false
+			for j, o := range keys {
+				if o == k {
+					freq++
+					seenBefore = seenBefore || j < i
+				}
+			}
+			if !seenBefore {
+				s.Distinct++
+			}
+			s.MaxFreq = max(s.MaxFreq, freq)
+		}
+		return s
 	}
-	if inMem != viaJob {
-		t.Errorf("StatsOf = %+v, KeyFrequency = %+v", inMem, viaJob)
+	rng := rand.New(rand.NewPCG(7, 11))
+	identity := func(k int) int { return k }
+	for trial := 0; trial < 20; trial++ {
+		keys := make([]int, rng.IntN(200))
+		span := 1 + rng.IntN(50) // few distinct values, so keys repeat
+		for i := range keys {
+			keys[i] = rng.IntN(span)
+		}
+		if got, want := StatsOf(keys, identity), bruteForce(keys); got != want {
+			t.Errorf("trial %d (%d keys over %d values): StatsOf = %+v, brute force = %+v",
+				trial, len(keys), span, got, want)
+		}
 	}
-	if StatsOf(nil, key) != (ColumnStats{}) {
-		t.Errorf("StatsOf(nil) = %+v, want zero", StatsOf(nil, key))
+	if got := StatsOf(nil, identity); got != bruteForce(nil) {
+		t.Errorf("StatsOf(nil) = %+v, want %+v", got, bruteForce(nil))
 	}
 }
 

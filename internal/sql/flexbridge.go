@@ -116,7 +116,7 @@ func keyStats(eng *mapreduce.Engine, side Plan, key string) (relation.ColumnStat
 	if err != nil {
 		return relation.ColumnStats{}, err
 	}
-	return relation.KeyFrequency(eng, rows, func(r Row) Value { return r[idx] })
+	return relation.StatsOf(rows, func(r Row) Value { return r[idx] }), nil
 }
 
 // stripFilters rewrites the plan with every Filter removed, modelling
