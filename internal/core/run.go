@@ -90,9 +90,12 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	reduce := q.reducer()
 	// Cache key for R(M(S')): the sensitivity loop re-reads it once per
 	// sampled neighbouring dataset, which is the Spark memory-cache reuse
-	// behind Figure 4(b).
+	// behind Figure 4(b). The entry is this release's alone, so it is
+	// dropped however the release ends; an engine shared across releases
+	// would otherwise keep one entry per release forever.
 	cacheKey := "upa:" + q.Name + ":rsprime:" +
 		strconv.FormatUint(sys.id, 10) + ":" + strconv.FormatUint(release, 10)
+	defer mapreduce.CacheDelete(eng.Cache(), cacheKey)
 
 	// State shared between stages. Every variable is written by exactly one
 	// stage and read only by stages that depend on it, so the scheduler's
@@ -322,13 +325,13 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		neighbours = append(neighbours, res.GroupRemovalOutputs...)
 		neighbours = append(neighbours, res.GroupAdditionOutputs...)
 		sc.AddRecords(int64(len(neighbours)))
-		infer := inferSensitivity
+		columnRange := fittedRange
 		if sys.cfg.EmpiricalRange {
-			infer = inferSensitivityEmpirical
+			columnRange = empiricalRange
 		}
 		var sens []float64
 		var err error
-		sens, lo, hi, err = infer(neighbours, q.OutputDim, sys.cfg.PercentileLo, sys.cfg.PercentileHi)
+		sens, lo, hi, err = inferSensitivity(neighbours, q.OutputDim, sys.cfg.PercentileLo, sys.cfg.PercentileHi, columnRange)
 		if err != nil {
 			return fmt.Errorf("core: query %q: %w", q.Name, err)
 		}
@@ -633,10 +636,12 @@ func partitionOutputs[T any](q Query[T], reduce mapreduce.Reducer[State], eng *m
 	return parts
 }
 
-// inferSensitivity fits a normal distribution per output coordinate over
-// the sampled neighbouring outputs and returns the percentile-range
-// sensitivity and output range (Algorithm 1, lines 17–21).
-func inferSensitivity(neighbours [][]float64, dim int, pLo, pHi float64) (sens, lo, hi []float64, err error) {
+// inferSensitivity turns the sampled neighbouring outputs into the
+// percentile-range sensitivity and output range, one output coordinate at a
+// time: columnRange maps the coordinate's column of neighbouring outputs to
+// its [lo, hi] range (Algorithm 1, lines 17–21).
+func inferSensitivity(neighbours [][]float64, dim int, pLo, pHi float64,
+	columnRange func(column []float64, pLo, pHi float64) (lo, hi float64, err error)) (sens, lo, hi []float64, err error) {
 	if len(neighbours) < 2 {
 		return nil, nil, nil, fmt.Errorf("only %d sampled neighbouring outputs", len(neighbours))
 	}
@@ -651,11 +656,7 @@ func inferSensitivity(neighbours [][]float64, dim int, pLo, pHi float64) (sens, 
 			}
 			column[i] = out[d]
 		}
-		fit, ferr := stats.FitNormalMLE(column)
-		if ferr != nil {
-			return nil, nil, nil, ferr
-		}
-		l, h, rerr := fit.PercentileRange(pLo, pHi)
+		l, h, rerr := columnRange(column, pLo, pHi)
 		if rerr != nil {
 			return nil, nil, nil, rerr
 		}
@@ -665,38 +666,27 @@ func inferSensitivity(neighbours [][]float64, dim int, pLo, pHi float64) (sens, 
 	return sens, lo, hi, nil
 }
 
-// inferSensitivityEmpirical is the distribution-free alternative: the
-// output range comes from the empirical pLo/pHi quantiles of the sampled
-// neighbouring outputs instead of a fitted normal distribution. It trades
-// the paper's parametric smoothing for exactness on non-normal neighbour
-// distributions (the §VI-C TPCH1 discussion).
-func inferSensitivityEmpirical(neighbours [][]float64, dim int, pLo, pHi float64) (sens, lo, hi []float64, err error) {
-	if len(neighbours) < 2 {
-		return nil, nil, nil, fmt.Errorf("only %d sampled neighbouring outputs", len(neighbours))
+// fittedRange is the paper's rule: the pLo/pHi percentiles of a normal
+// distribution fitted to the column.
+func fittedRange(column []float64, pLo, pHi float64) (float64, float64, error) {
+	fit, err := stats.FitNormalMLE(column)
+	if err != nil {
+		return 0, 0, err
 	}
-	sens = make([]float64, dim)
-	lo = make([]float64, dim)
-	hi = make([]float64, dim)
-	column := make([]float64, len(neighbours))
-	for d := 0; d < dim; d++ {
-		for i, out := range neighbours {
-			if len(out) != dim {
-				return nil, nil, nil, fmt.Errorf("neighbouring output %d has %d coordinates, want %d", i, len(out), dim)
-			}
-			column[i] = out[d]
-		}
-		l, qerr := stats.EmpiricalQuantile(column, pLo)
-		if qerr != nil {
-			return nil, nil, nil, qerr
-		}
-		h, qerr := stats.EmpiricalQuantile(column, pHi)
-		if qerr != nil {
-			return nil, nil, nil, qerr
-		}
-		lo[d], hi[d] = l, h
-		sens[d] = h - l
+	return fit.PercentileRange(pLo, pHi)
+}
+
+// empiricalRange is the distribution-free alternative: the empirical
+// pLo/pHi quantiles of the column. It trades the paper's parametric
+// smoothing for exactness on non-normal neighbour distributions (the §VI-C
+// TPCH1 discussion).
+func empiricalRange(column []float64, pLo, pHi float64) (float64, float64, error) {
+	l, err := stats.EmpiricalQuantile(column, pLo)
+	if err != nil {
+		return 0, 0, err
 	}
-	return sens, lo, hi, nil
+	h, err := stats.EmpiricalQuantile(column, pHi)
+	return l, h, err
 }
 
 // empiricalSensitivity returns, per coordinate, the greatest |f(y) - f(x)|

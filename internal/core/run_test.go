@@ -541,6 +541,36 @@ func TestRunVanilla(t *testing.T) {
 	}
 }
 
+// TestRunVanillaReadsInPlace pins that the vanilla baseline reads its input
+// where it lies, as UPA reads S′: evaluating 100 000 wide records allocates
+// less than one copy of them.
+func TestRunVanillaReadsInPlace(t *testing.T) {
+	data := make([]wideRecord, 100_000)
+	for i := range data {
+		data[i].Vals[0] = float64(i % 97)
+	}
+	q := Query[wideRecord]{
+		Name:      "wide-sum",
+		StateDim:  1,
+		OutputDim: 1,
+		Map:       func(r wideRecord) State { return State{r.Vals[0]} },
+	}
+	eng := mapreduce.NewEngine()
+	defer eng.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunVanilla(eng, q, data); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(len(data)) * uint64(unsafe.Sizeof(wideRecord{}))
+	t.Logf("vanilla run allocated %d bytes for a %d-byte input", allocated, limit)
+	if allocated >= limit {
+		t.Fatalf("vanilla run allocated %d bytes, want < %d (one copy of the input)", allocated, limit)
+	}
+}
+
 func TestPhaseTimingsTotal(t *testing.T) {
 	sys := newTestSystem(t, nil)
 	res, err := Run(sys, countQuery(), seqData(100), nil)
@@ -599,6 +629,37 @@ func TestSharedEngineCacheIsolation(t *testing.T) {
 					seed, o[0], removed)
 			}
 		}
+	}
+}
+
+// TestReleasesLeaveNoCacheEntries pins that a release's R(M(S′)) lives in
+// the engine's reduction cache only while the release runs: many releases
+// on one shared engine, including one that fails after caching it, leave
+// the cache empty instead of one entry per release.
+func TestReleasesLeaveNoCacheEntries(t *testing.T) {
+	eng := mapreduce.NewEngine()
+	defer eng.Close()
+	cfg := DefaultConfig()
+	cfg.SampleSize = 50
+	sys, err := NewSystem(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := seqData(500)
+	for i := 0; i < 20; i++ {
+		if _, err := Run(sys, sumQuery(), data, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every neighbouring output of this query is one coordinate wider than
+	// OutputDim, so the fit stage fails after bulk-reduce cached R(M(S′)).
+	wide := sumQuery()
+	wide.Finalize = func(s State) []float64 { return []float64{s[0], s[0]} }
+	if _, err := Run(sys, wide, data, nil); err == nil {
+		t.Fatal("release with mis-sized outputs succeeded")
+	}
+	if n := eng.Cache().Len(); n != 0 {
+		t.Fatalf("reduction cache holds %d entries after 21 releases, want 0", n)
 	}
 }
 

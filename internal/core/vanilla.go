@@ -8,6 +8,8 @@ import (
 
 // RunVanilla evaluates q on data through the engine with no DP machinery —
 // the "vanilla Spark" baseline every overhead figure normalizes against.
+// Like UPA's own S′, the input is read in place, never copied, so data must
+// not be mutated while the call is in progress.
 func RunVanilla[T any](eng *mapreduce.Engine, q Query[T], data []T) ([]float64, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -19,7 +21,7 @@ func RunVanilla[T any](eng *mapreduce.Engine, q Query[T], data []T) ([]float64, 
 	if parts > len(data) {
 		parts = len(data)
 	}
-	ds, err := mapreduce.FromSlice(eng, data, parts)
+	ds, err := mapreduce.FromSliceExcept(eng, data, nil, parts)
 	if err != nil {
 		return nil, err
 	}

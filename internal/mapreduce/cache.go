@@ -14,8 +14,8 @@ import "sync"
 // The cache is unbounded: nothing is ever evicted, so it grows until Clear
 // is called. That is the right trade for UPA's working set — one entry per
 // reusable reduction, reused across a whole sensitivity loop — but callers
-// keying entries per record or per release must call Clear between phases
-// or bound their key space themselves.
+// keying entries per record or per release must CacheDelete them when done,
+// call Clear between phases, or bound their key space themselves.
 type ReductionCache struct {
 	mu      sync.Mutex
 	entries map[string]any
@@ -78,6 +78,9 @@ func CacheGet[T any](c *ReductionCache, key string) (T, bool) {
 	c.metrics.CacheMisses.Add(1)
 	return zero, false
 }
+
+// CacheDelete drops the entry under key, if any (counters are retained).
+func CacheDelete(c *ReductionCache, key string) { c.delete(key) }
 
 // CachePut stores v under key, replacing any prior entry.
 func CachePut[T any](c *ReductionCache, key string, v T) {

@@ -55,11 +55,13 @@ func FromSlice[T any](eng *Engine, data []T, numParts int) (*Dataset[T], error) 
 // which must be sorted ascending, distinct and within [0, len(data)).
 // Partition p holds exactly the records FromSlice would put in partition p
 // of the compacted slice, in the same order, and the dataset carries the
-// same "source" lineage name. Unlike FromSlice it neither copies nor spills:
-// partitions read data in place when a task computes them, and the view is
-// not admitted to the engine's memory budget because the caller's slice is
-// already resident. The caller must not mutate data or skip while the
-// dataset is in use.
+// same "source" lineage name. Unlike FromSlice it neither copies nor spills,
+// and the view is not admitted to the engine's memory budget because the
+// caller's slice is already resident. A partition that holds no skipped
+// position is data's own subslice, capacity-clipped so an append cannot
+// reach past it; only a partition a skip cuts through is compacted into a
+// fresh slice. The caller must not mutate data or skip while the dataset is
+// in use, and every operator treats partitions as read-only.
 func FromSliceExcept[T any](eng *Engine, data []T, skip []int, numParts int) (*Dataset[T], error) {
 	if numParts < 1 {
 		return nil, fmt.Errorf("mapreduce: numParts must be >= 1, got %d", numParts)
@@ -81,6 +83,9 @@ func FromSliceExcept[T any](eng *Engine, data []T, skip []int, numParts int) (*D
 			// skip[k]-k > c, found by binary search since skip[k]-k is
 			// non-decreasing.
 			k := sort.Search(len(skip), func(k int) bool { return skip[k]-k > lo })
+			if k == len(skip) || skip[k]-k >= hi {
+				return data[lo+k : hi+k : hi+k], nil
+			}
 			out := make([]T, 0, hi-lo)
 			for i := lo + k; len(out) < hi-lo; k++ {
 				end := len(data)

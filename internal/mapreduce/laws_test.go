@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // Algebraic laws of the engine's operators: these hold for pure functions
@@ -172,7 +173,9 @@ func TestPartitioningInvarianceLaw(t *testing.T) {
 
 // Skip-view equivalence: FromSliceExcept(data, skip) partitions exactly as
 // FromSlice over the compacted slice does, and keeps the "source" lineage
-// name, so Map over it runs the same task sites as Map over a copy.
+// name, so Map over it runs the same task sites as Map over a copy. A
+// partition no skip cuts through is data's own capacity-clipped subslice;
+// one a skip cuts through is a fresh slice that never aliases data.
 func TestFromSliceExceptLaw(t *testing.T) {
 	eng := NewEngine()
 	rng := rand.New(rand.NewSource(1))
@@ -196,13 +199,14 @@ func TestFromSliceExceptLaw(t *testing.T) {
 			}
 			data := make([]int, n)
 			var skip []int
-			var compacted []int
+			var compacted, at []int // at[c] is compacted[c]'s index in data
 			for i := range data {
 				data[i] = rng.Int()
 				if skipped(i, n) {
 					skip = append(skip, i)
 				} else {
 					compacted = append(compacted, data[i])
+					at = append(at, i)
 				}
 			}
 			parts := rng.Intn(8) + 1
@@ -227,6 +231,18 @@ func TestFromSliceExceptLaw(t *testing.T) {
 					t.Fatalf("%s n=%d skip=%d parts=%d: partition %d = %v, want %v",
 						name, n, len(skip), parts, p, got[p], want[p])
 				}
+				lo, hi := sliceBounds(len(compacted), parts, p)
+				if lo == hi {
+					continue
+				}
+				if at[hi-1]-at[lo] == hi-1-lo {
+					if &got[p][0] != &data[at[lo]] || cap(got[p]) != len(got[p]) {
+						t.Fatalf("%s n=%d parts=%d: unskipped partition %d is not data[%d:%d:%d]",
+							name, n, parts, p, at[lo], at[hi-1]+1, at[hi-1]+1)
+					}
+				} else if aliases(got[p], data) {
+					t.Fatalf("%s n=%d parts=%d: partition %d holds a skip yet aliases data", name, n, parts, p)
+				}
 			}
 			count, err := view.Count()
 			if err != nil {
@@ -246,4 +262,14 @@ func TestFromSliceExceptLaw(t *testing.T) {
 			t.Errorf("skip %v over 3 records accepted", bad)
 		}
 	}
+}
+
+// aliases reports whether part's backing array starts inside data's.
+func aliases(part, data []int) bool {
+	if cap(part) == 0 || cap(data) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(part)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	return p >= lo && p < lo+uintptr(cap(data))*unsafe.Sizeof(data[0])
 }

@@ -120,7 +120,7 @@ func (w *Workload) TPCH13() Runner {
 		size:  len(db.Orders),
 		joins: 1,
 		bind: func(eng *mapreduce.Engine) (core.Query[tpch.Order], []tpch.Order, func(*stats.RNG) tpch.Order, error) {
-			customers, err := lookupSet(eng, db.Customers, func(c tpch.Customer) int { return c.CustKey })
+			customers, err := countByKey(eng, db.Customers, func(c tpch.Customer) int { return c.CustKey }, nil)
 			if err != nil {
 				return core.Query[tpch.Order]{}, nil, nil, err
 			}
@@ -129,7 +129,7 @@ func (w *Workload) TPCH13() Runner {
 				StateDim:  1,
 				OutputDim: 1,
 				Map: func(o tpch.Order) core.State {
-					if !o.SpecialRequest && customers[o.CustKey] {
+					if !o.SpecialRequest && customers[o.CustKey] > 0 {
 						return countState(1)
 					}
 					return countState(0)
@@ -162,7 +162,7 @@ func (w *Workload) TPCH16() Runner {
 		size:  len(db.PartSupps),
 		joins: 2,
 		bind: func(eng *mapreduce.Engine) (core.Query[tpch.PartSupp], []tpch.PartSupp, func(*stats.RNG) tpch.PartSupp, error) {
-			goodParts, err := lookupWhere(eng, db.Parts,
+			goodParts, err := countByKey(eng, db.Parts,
 				func(p tpch.Part) int { return p.PartKey },
 				func(p tpch.Part) bool {
 					return p.Brand != tpch16Brand &&
@@ -172,7 +172,7 @@ func (w *Workload) TPCH16() Runner {
 			if err != nil {
 				return core.Query[tpch.PartSupp]{}, nil, nil, err
 			}
-			goodSupp, err := lookupWhere(eng, db.Suppliers,
+			goodSupp, err := countByKey(eng, db.Suppliers,
 				func(s tpch.Supplier) int { return s.SuppKey },
 				func(s tpch.Supplier) bool { return !s.Complaint })
 			if err != nil {
@@ -183,7 +183,7 @@ func (w *Workload) TPCH16() Runner {
 				StateDim:  1,
 				OutputDim: 1,
 				Map: func(ps tpch.PartSupp) core.State {
-					if goodParts[ps.PartKey] && goodSupp[ps.SuppKey] {
+					if goodParts[ps.PartKey] > 0 && goodSupp[ps.SuppKey] > 0 {
 						return countState(1)
 					}
 					return countState(0)
@@ -230,13 +230,13 @@ func (w *Workload) TPCH21() Runner {
 					break
 				}
 			}
-			suppInNation, err := lookupWhere(eng, db.Suppliers,
+			suppInNation, err := countByKey(eng, db.Suppliers,
 				func(s tpch.Supplier) int { return s.SuppKey },
 				func(s tpch.Supplier) bool { return s.NationKey == nationKey })
 			if err != nil {
 				return core.Query[tpch.Lineitem]{}, nil, nil, err
 			}
-			finishedOrders, err := lookupWhere(eng, db.Orders,
+			finishedOrders, err := countByKey(eng, db.Orders,
 				func(o tpch.Order) int { return o.OrderKey },
 				func(o tpch.Order) bool { return o.OrderStatus == "F" })
 			if err != nil {
@@ -263,8 +263,8 @@ func (w *Workload) TPCH21() Runner {
 				OutputDim: 1,
 				Map: func(l tpch.Lineitem) core.State {
 					if l.ReceiptDate <= l.CommitDate || // filter 1
-						!suppInNation[l.SuppKey] || // filter 2 (after joins)
-						!finishedOrders[l.OrderKey] { // filter 3
+						suppInNation[l.SuppKey] == 0 || // filter 2 (after joins)
+						finishedOrders[l.OrderKey] == 0 { // filter 3
 						return countState(0)
 					}
 					others := perOrder[l.OrderKey] - perOrderSupp[[2]int{l.OrderKey, l.SuppKey}]
@@ -342,7 +342,7 @@ func (w *Workload) TPCH11() Runner {
 					break
 				}
 			}
-			inNation, err := lookupWhere(eng, db.Suppliers,
+			inNation, err := countByKey(eng, db.Suppliers,
 				func(s tpch.Supplier) int { return s.SuppKey },
 				func(s tpch.Supplier) bool { return s.NationKey == nationKey })
 			if err != nil {
@@ -353,7 +353,7 @@ func (w *Workload) TPCH11() Runner {
 				StateDim:  1,
 				OutputDim: 1,
 				Map: func(ps tpch.PartSupp) core.State {
-					if inNation[ps.SuppKey] {
+					if inNation[ps.SuppKey] > 0 {
 						return countState(ps.SupplyCost * float64(ps.AvailQty))
 					}
 					return countState(0)
@@ -365,32 +365,37 @@ func (w *Workload) TPCH11() Runner {
 	}
 }
 
-// countByKey runs a filtered per-key count over records as an engine job
-// (one shuffle) and collects it into a broadcast map. A nil keep counts all
-// records.
+// countByKey counts the records passing keep (all records when keep is nil)
+// per key and broadcasts the counts as a lookup table. Each partition counts
+// its share of records in place into its own map, and the driver merges the
+// maps in partition order. Moving the per-partition counts to the driver is
+// metered as one shuffle of their distinct keys — the records a map-side
+// combined ReduceByKey would ship — and the table as one broadcast.
 func countByKey[T any, K comparable](eng *mapreduce.Engine, records []T, key func(T) K, keep func(T) bool) (map[K]float64, error) {
-	parts := eng.Workers()
-	if parts > len(records) {
-		parts = len(records)
-	}
-	ds, err := mapreduce.FromSlice(eng, records, parts)
+	ds, err := mapreduce.FromSliceExcept(eng, records, nil, min(eng.Workers(), len(records)))
 	if err != nil {
 		return nil, err
 	}
-	if keep != nil {
-		ds = mapreduce.Filter(ds, keep)
-	}
-	ones := mapreduce.Map(ds, func(t T) mapreduce.Pair[K, float64] {
-		return mapreduce.Pair[K, float64]{Key: key(t), Value: 1}
-	})
-	pairs, err := mapreduce.ReduceByKey(ones, func(a, b float64) float64 { return a + b }).Collect()
+	counted, err := mapreduce.MapPartitions(ds, func(_ int, in []T) ([]map[K]float64, error) {
+		m := make(map[K]float64)
+		for _, r := range in {
+			if keep == nil || keep(r) {
+				m[key(r)]++
+			}
+		}
+		return []map[K]float64{m}, nil
+	}).Collect()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[K]float64, len(pairs))
-	for _, p := range pairs {
-		out[p.Key] = p.Value
+	out, shuffled := counted[0], len(counted[0])
+	for _, m := range counted[1:] {
+		shuffled += len(m)
+		for k, c := range m {
+			out[k] += c
+		}
 	}
+	eng.AccountShuffle(shuffled)
 	// The lookup table ships to every worker as a broadcast variable, the
 	// §V-B evaluation strategy; registering it meters the shipment.
 	b, err := mapreduce.NewBroadcast(eng, out, len(out))
@@ -398,23 +403,4 @@ func countByKey[T any, K comparable](eng *mapreduce.Engine, records []T, key fun
 		return nil, err
 	}
 	return b.Value(), nil
-}
-
-// lookupSet broadcasts the set of keys present in records.
-func lookupSet[T any, K comparable](eng *mapreduce.Engine, records []T, key func(T) K) (map[K]bool, error) {
-	return lookupWhere(eng, records, key, nil)
-}
-
-// lookupWhere broadcasts the set of keys of records passing keep (all
-// records when keep is nil), computed as an engine job.
-func lookupWhere[T any, K comparable](eng *mapreduce.Engine, records []T, key func(T) K, keep func(T) bool) (map[K]bool, error) {
-	counts, err := countByKey(eng, records, key, keep)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]bool, len(counts))
-	for k := range counts {
-		out[k] = true
-	}
-	return out, nil
 }

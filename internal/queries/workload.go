@@ -5,8 +5,9 @@
 // Regression).
 //
 // Every query is expressed in UPA's Mapper/Reducer form: a per-record
-// Mapper — closing over broadcast lookup tables built from the auxiliary
-// relations with engine-metered MapReduce jobs — and a commutative,
+// Mapper — closing over broadcast lookup tables of per-key counts, each
+// counted by one engine task per partition that reads the relation in place
+// and metered as one shuffle and one broadcast — and a commutative,
 // associative Reducer (vector addition), optionally followed by a Finalize.
 // Queries with correlated structure (TPCH21's exists-other-supplier) follow
 // UPA's Spark implementation: the broadcast is computed once over the full
