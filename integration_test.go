@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"upa"
+	"upa/internal/chaos"
 	"upa/internal/core"
 	"upa/internal/dpop"
 	"upa/internal/mapreduce"
@@ -45,8 +46,10 @@ func randomData(n int, seed uint64) []float64 {
 // operators the paper leans on (§II-C).
 func TestReleaseSurvivesInjectedFaults(t *testing.T) {
 	data := randomData(3000, 7)
-	run := func(faults int) *core.Result {
-		eng := mapreduce.NewEngine(mapreduce.WithMaxAttempts(5))
+	run := func(inj *chaos.Injector) *core.Result {
+		eng := mapreduce.NewEngine(
+			mapreduce.WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}),
+			mapreduce.WithChaos(inj))
 		cfg := core.DefaultConfig()
 		cfg.SampleSize = 200
 		cfg.Seed = 99
@@ -54,17 +57,17 @@ func TestReleaseSurvivesInjectedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if faults > 0 {
-			eng.InjectFaults(faults)
-		}
 		res, err := core.Run(sys, sumQuery(), data, nil)
 		if err != nil {
-			t.Fatalf("release with %d faults failed: %v", faults, err)
+			t.Fatalf("release under chaos %+v failed: %v", inj.Snapshot(), err)
 		}
 		return res
 	}
-	clean := run(0)
-	faulty := run(3)
+	clean := run(nil)
+	faulty := run(chaos.New(chaos.Policy{Seed: 3, TaskFaultRate: 0.2}))
+	if faulty.EngineDelta.TaskFaults == 0 {
+		t.Fatal("no faults were actually injected")
+	}
 	if clean.RawOutput[0] != faulty.RawOutput[0] {
 		t.Errorf("raw outputs diverge under faults: %v vs %v",
 			clean.RawOutput[0], faulty.RawOutput[0])
@@ -144,8 +147,9 @@ func TestSQLUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faultyEng := mapreduce.NewEngine(mapreduce.WithMaxAttempts(5))
-	faultyEng.InjectFaults(4)
+	faultyEng := mapreduce.NewEngine(
+		mapreduce.WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}),
+		mapreduce.WithChaos(chaos.New(chaos.Policy{Seed: 4, TaskFaultRate: 0.2, ShuffleErrorRate: 0.2})))
 	got, err := sql.ExecuteCount(faultyEng, plan)
 	if err != nil {
 		t.Fatalf("plan under faults failed: %v", err)

@@ -36,8 +36,7 @@ type Policy struct {
 	// coordinates regardless of execution interleaving.
 	Seed uint64
 	// TaskFaultRate is the probability that one task attempt fails before
-	// running (the seeded generalization of the legacy counted
-	// InjectFaults hook).
+	// running.
 	TaskFaultRate float64
 	// StragglerRate is the probability that one task attempt is delayed by
 	// StragglerDelay before running — the straggler injection that
@@ -109,9 +108,6 @@ type Counters struct {
 	Stragglers    int64
 	ShuffleErrors int64
 	SlotsLost     int64
-	// CountedFaults is how many of Faults came from the legacy counted
-	// queue (AddCountedFaults) rather than the seeded rates.
-	CountedFaults int64
 	// Disk-fault counters, one per injected storage failure mode.
 	DiskWriteErrors  int64
 	DiskENOSPCs      int64
@@ -127,18 +123,10 @@ type Counters struct {
 type Injector struct {
 	policy Policy
 
-	// counted is the legacy InjectFaults(n) queue: the next counted task
-	// attempts fail regardless of the seeded rates. Counted faults are
-	// consumed in claim order, so they are deterministic only under a
-	// deterministic task schedule — exactly the contract the old engine
-	// hook had.
-	counted atomic.Int64
-
 	faults        atomic.Int64
 	stragglers    atomic.Int64
 	shuffleErrors atomic.Int64
 	slotsLost     atomic.Int64
-	countedTaken  atomic.Int64
 
 	diskWriteErrors  atomic.Int64
 	diskENOSPCs      atomic.Int64
@@ -156,37 +144,6 @@ func New(policy Policy) *Injector {
 		policy = Policy{}
 	}
 	return &Injector{policy: policy}
-}
-
-// Policy returns the injector's configuration.
-func (j *Injector) Policy() Policy {
-	if j == nil {
-		return Policy{}
-	}
-	return j.policy
-}
-
-// AddCountedFaults arranges for the next n task attempts to fail, ahead of
-// any seeded decisions — the compatibility path for the engine's legacy
-// InjectFaults hook.
-func (j *Injector) AddCountedFaults(n int) {
-	if j == nil || n <= 0 {
-		return
-	}
-	j.counted.Add(int64(n))
-}
-
-// takeCounted consumes one counted fault if any are pending.
-func (j *Injector) takeCounted() bool {
-	for {
-		c := j.counted.Load()
-		if c <= 0 {
-			return false
-		}
-		if j.counted.CompareAndSwap(c, c-1) {
-			return true
-		}
-	}
 }
 
 // Decision kinds keep the per-rate hash streams independent: the same
@@ -207,16 +164,10 @@ const (
 )
 
 // TaskFault reports whether the attempt-th try of task `task` at `site`
-// should fail before running. Counted faults (AddCountedFaults) are consumed
-// first; otherwise the decision is a seeded hash of the coordinates.
+// should fail before running, as a seeded hash of the coordinates.
 func (j *Injector) TaskFault(site string, task, attempt int) bool {
 	if j == nil {
 		return false
-	}
-	if j.takeCounted() {
-		j.faults.Add(1)
-		j.countedTaken.Add(1)
-		return true
 	}
 	if j.decide(kindTaskFault, site, task, attempt, j.policy.TaskFaultRate) {
 		j.faults.Add(1)
@@ -226,11 +177,9 @@ func (j *Injector) TaskFault(site string, task, attempt int) bool {
 }
 
 // StageFault reports whether the attempt-th try of stage task `task` at
-// `site` should fail before running. Unlike TaskFault it never consumes the
-// legacy counted queue — AddCountedFaults targets engine task attempts, and
-// a stage scheduler sharing the injector must not starve the engine of them
-// — and it draws from its own hash stream, so stage- and engine-level
-// decisions at coincident coordinates stay independent.
+// `site` should fail before running. It draws from its own hash stream, so
+// stage- and engine-level decisions at coincident coordinates stay
+// independent.
 func (j *Injector) StageFault(site string, task, attempt int) bool {
 	if j == nil {
 		return false
@@ -291,7 +240,6 @@ func (j *Injector) Snapshot() Counters {
 		Stragglers:       j.stragglers.Load(),
 		ShuffleErrors:    j.shuffleErrors.Load(),
 		SlotsLost:        j.slotsLost.Load(),
-		CountedFaults:    j.countedTaken.Load(),
 		DiskWriteErrors:  j.diskWriteErrors.Load(),
 		DiskENOSPCs:      j.diskENOSPCs.Load(),
 		DiskTornWrites:   j.diskTornWrites.Load(),

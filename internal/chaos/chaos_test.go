@@ -97,38 +97,74 @@ func TestSlotZeroImmune(t *testing.T) {
 	}
 }
 
-// TestCountedFaultsConsumeFirst pins the legacy InjectFaults compatibility:
-// counted faults fire ahead of (and independent of) the seeded rates.
+// TestCountedFaultsConsumeFirst: a seeded fault is a property of its
+// coordinates, not an item consumed from a queue. Asking again, in any
+// order, fires the same faults; every firing is counted; and a retry, being
+// a later attempt, re-rolls.
 func TestCountedFaultsConsumeFirst(t *testing.T) {
-	j := New(Policy{}) // zero rates: only counted faults can fire
-	j.AddCountedFaults(3)
+	j := New(Policy{Seed: 3, TaskFaultRate: 0.5})
+	const n = 200
+	first := make([]bool, n)
 	fired := 0
-	for task := 0; task < 10; task++ {
-		if j.TaskFault("s", task, 1) {
+	for task := 0; task < n; task++ {
+		if first[task] = j.TaskFault("s", task, 1); first[task] {
 			fired++
 		}
 	}
-	if fired != 3 {
-		t.Errorf("counted faults fired %d times, want 3", fired)
+	if fired == 0 || fired == n {
+		t.Fatalf("%d of %d attempts faulted, want some but not all", fired, n)
 	}
-	s := j.Snapshot()
-	if s.Faults != 3 || s.CountedFaults != 3 {
-		t.Errorf("counters = %+v, want 3 counted faults", s)
+	for task := n - 1; task >= 0; task-- {
+		if j.TaskFault("s", task, 1) != first[task] {
+			t.Fatalf("task %d attempt 1 changed its fate on a second ask", task)
+		}
+	}
+	if s := j.Snapshot(); s.Faults != int64(2*fired) {
+		t.Errorf("Snapshot.Faults = %d, want %d (every firing counted)", s.Faults, 2*fired)
+	}
+	recovered := 0
+	for task := 0; task < n; task++ {
+		if first[task] && !j.TaskFault("s", task, 2) {
+			recovered++
+		}
+	}
+	if recovered == 0 {
+		t.Error("no faulted task recovered on attempt 2: retries do not re-roll")
 	}
 }
 
-// TestStageFaultIgnoresCountedQueue: the legacy counted queue targets engine
-// task attempts; a stage scheduler sharing the injector must not drain it.
+// TestStageFaultIgnoresCountedQueue: StageFault and TaskFault draw from
+// independent hash streams, so a stage scheduler and an engine sharing one
+// injector do not fail together at coincident (site, task, attempt)
+// coordinates.
 func TestStageFaultIgnoresCountedQueue(t *testing.T) {
-	j := New(Policy{}) // zero rates: only counted faults could fire
-	j.AddCountedFaults(3)
-	for i := 0; i < 10; i++ {
-		if j.StageFault("s", i, 1) {
-			t.Fatal("StageFault consumed a counted engine fault")
+	j := New(Policy{Seed: 5, TaskFaultRate: 0.5})
+	const n = 4000
+	stage, task, both := 0, 0, 0
+	for i := 0; i < n; i++ {
+		s, k := j.StageFault("s", i, 1), j.TaskFault("s", i, 1)
+		if s {
+			stage++
+		}
+		if k {
+			task++
+		}
+		if s && k {
+			both++
 		}
 	}
-	if !j.TaskFault("s", 0, 1) {
-		t.Fatal("counted fault vanished before the engine could take it")
+	for name, c := range map[string]int{"StageFault": stage, "TaskFault": task} {
+		if f := float64(c) / n; f < 0.45 || f > 0.55 {
+			t.Errorf("%s rate %v, want ~0.5", name, f)
+		}
+	}
+	// Independent streams fire together a quarter of the time; one shared
+	// stream would fire together every time either fires (1/2).
+	if f := float64(both) / n; f < 0.2 || f > 0.3 {
+		t.Errorf("StageFault and TaskFault fired together at %v of coordinates, want ~0.25", f)
+	}
+	if s := j.Snapshot(); s.Faults != int64(stage+task) {
+		t.Errorf("Snapshot.Faults = %d, want %d", s.Faults, stage+task)
 	}
 }
 

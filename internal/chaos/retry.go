@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"math"
 	"sync/atomic"
 	"time"
@@ -88,6 +89,19 @@ func (p RetryPolicy) jitter() float64 {
 		return 1
 	default:
 		return p.Jitter
+	}
+}
+
+// Sleep waits out one backoff or straggler delay: it sleeps for d or until
+// ctx is done, reporting whether the full sleep completed.
+func Sleep(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 

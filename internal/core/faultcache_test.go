@@ -3,6 +3,9 @@ package core
 import (
 	"encoding/json"
 	"testing"
+
+	"upa/internal/chaos"
+	"upa/internal/mapreduce"
 )
 
 // releaseOutputs is the deterministic surface of a release: everything the
@@ -39,18 +42,18 @@ func TestFaultyWarmCacheReleaseIsDeterministic(t *testing.T) {
 	data := seqData(600)
 	domain := uniformDomain(0, 600)
 
-	runPair := func(faults int) *Result {
-		sys := newTestSystem(t, nil)
+	runPair := func(inj *chaos.Injector) *Result {
+		cfg := DefaultConfig()
+		cfg.SampleSize = 50
+		sys, err := NewSystem(mapreduce.NewEngine(mapreduce.WithChaos(inj)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// First release warms the engine's reduction cache (and advances the
 		// enforcer history) with a different query, so the second release
 		// runs against a non-empty cache without tripping the attack path.
 		if _, err := Run(sys, countQuery(), data, domain); err != nil {
 			t.Fatal(err)
-		}
-		if faults > 0 {
-			// Two faults against the default three-attempt budget: retries
-			// fire, but no task can exhaust its budget.
-			sys.Engine().InjectFaults(faults)
 		}
 		res, err := Run(sys, sumQuery(), data, domain)
 		if err != nil {
@@ -59,8 +62,10 @@ func TestFaultyWarmCacheReleaseIsDeterministic(t *testing.T) {
 		return res
 	}
 
-	clean := runPair(0)
-	faulty := runPair(2)
+	clean := runPair(nil)
+	// Against the default three-attempt budget at this seed, retries fire
+	// but no task exhausts its attempts.
+	faulty := runPair(chaos.New(chaos.Policy{Seed: 1, TaskFaultRate: 0.15}))
 
 	cleanJSON, err := json.Marshal(outputsOf(clean))
 	if err != nil {

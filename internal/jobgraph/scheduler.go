@@ -169,19 +169,6 @@ func retryable(err error, live context.Context) bool {
 	return errors.Is(err, context.DeadlineExceeded) && live.Err() == nil
 }
 
-// sleepCtx sleeps for d or until ctx is done, reporting whether the full
-// sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // runStage executes one stage, occupying a slot per task.
 func (g *Graph) runStage(ctx context.Context, i int, span *Span, slots chan struct{}, budget *chaos.Budget) error {
 	s := g.stages[i]
@@ -224,7 +211,7 @@ func (g *Graph) runPlain(ctx context.Context, s *stage, span *Span, sc *StageCon
 			span.Retries++
 			if d := g.policy.Backoff(site, 0, attempt-1); d > 0 {
 				span.BackoffNanos += int64(d)
-				if !sleepCtx(ctx, d) {
+				if !chaos.Sleep(ctx, d) {
 					return ctx.Err()
 				}
 			}
@@ -236,7 +223,7 @@ func (g *Graph) runPlain(ctx context.Context, s *stage, span *Span, sc *StageCon
 			continue
 		}
 		if d := g.inj.TaskDelay(site, 0, attempt); d > 0 {
-			if !sleepCtx(ctx, d) {
+			if !chaos.Sleep(ctx, d) {
 				return ctx.Err()
 			}
 		}
@@ -332,7 +319,7 @@ func (g *Graph) runPartitioned(ctx context.Context, s *stage, span *Span, sc *St
 				return
 			}
 			if d := g.inj.TaskDelay(site, part, attempt); d > 0 {
-				if !sleepCtx(stageCtx, d) {
+				if !chaos.Sleep(stageCtx, d) {
 					results <- outcome{part: part, attempt: attempt, err: stageCtx.Err()}
 					return
 				}
@@ -382,7 +369,7 @@ func (g *Graph) runPartitioned(ctx context.Context, s *stage, span *Span, sc *St
 		if wait > 0 {
 			backoffNanos.Add(int64(wait))
 			go func() {
-				if !sleepCtx(stageCtx, wait) {
+				if !chaos.Sleep(stageCtx, wait) {
 					results <- outcome{part: part, attempt: attempt, err: stageCtx.Err()}
 					return
 				}

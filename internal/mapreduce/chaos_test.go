@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -20,12 +21,14 @@ import (
 // carry the site label, the partition index, and the original error by
 // wrapping.
 func TestExhaustionErrorCarriesSiteAndOriginalError(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(2))
+	// At this seed and rate both attempts of task 0 at "source:collect"
+	// draw a fault.
+	inj := chaos.New(chaos.Policy{Seed: 1, TaskFaultRate: 0.9})
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults(10)
 	_, err = d.Collect()
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("Collect = %v, want ErrTaskFailed", err)
@@ -42,11 +45,27 @@ func TestExhaustionErrorCarriesSiteAndOriginalError(t *testing.T) {
 	}
 }
 
-// chaosRun executes a ReduceByKey+Join pipeline on a fresh engine armed with
-// the given injector and returns the collected outputs plus the metrics.
-func chaosRun(t *testing.T, inj *chaos.Injector, policy chaos.RetryPolicy) ([]Pair[int, int], []Pair[int, Joined[int, string]], MetricsSnapshot) {
+// faultFirst returns a MapPartitions function that copies its partition
+// through but fails its first n calls with an injected fault, which the
+// engine retries exactly like a seeded chaos decision. Tests use it where
+// they need an exact fault count, or faults that run out: a seeded decision
+// fires again at the same coordinates on every later job.
+func faultFirst[T any](n int64) func(int, []T) ([]T, error) {
+	var calls atomic.Int64
+	return func(_ int, in []T) ([]T, error) {
+		if c := calls.Add(1); c <= n {
+			return nil, fmt.Errorf("%w: test fault %d of %d", chaos.ErrInjected, c, n)
+		}
+		return append([]T(nil), in...), nil
+	}
+}
+
+// chaosRun executes a ReduceByKey+Join pipeline on a fresh engine with the
+// given worker count, armed with the given injector, and returns the
+// collected outputs plus the metrics.
+func chaosRun(t *testing.T, workers int, inj *chaos.Injector, policy chaos.RetryPolicy) ([]Pair[int, int], []Pair[int, Joined[int, string]], MetricsSnapshot) {
 	t.Helper()
-	eng := NewEngine(WithWorkers(4), WithRetryPolicy(policy), WithChaos(inj))
+	eng := NewEngine(WithWorkers(workers), WithRetryPolicy(policy), WithChaos(inj))
 	pairs := make([]Pair[int, int], 300)
 	for i := range pairs {
 		pairs[i] = Pair[int, int]{Key: i % 11, Value: i}
@@ -86,7 +105,7 @@ func chaosRun(t *testing.T, inj *chaos.Injector, policy chaos.RetryPolicy) ([]Pa
 // clean run by exactly the faults injected.
 func TestSeededChaosOutputInvariant(t *testing.T) {
 	policy := chaos.RetryPolicy{MaxAttempts: 6, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 100 * time.Microsecond, Jitter: 0.5, JitterSeed: 3}
-	cleanR, cleanJ, cleanM := chaosRun(t, nil, policy)
+	cleanR, cleanJ, cleanM := chaosRun(t, 4, nil, policy)
 	for seed := uint64(1); seed <= 5; seed++ {
 		inj := chaos.New(chaos.Policy{
 			Seed:             seed,
@@ -96,7 +115,7 @@ func TestSeededChaosOutputInvariant(t *testing.T) {
 			ShuffleErrorRate: 0.2,
 			SlotLossRate:     0.25,
 		})
-		r, j, m := chaosRun(t, inj, policy)
+		r, j, m := chaosRun(t, 4, inj, policy)
 		if !reflect.DeepEqual(r, cleanR) {
 			t.Fatalf("seed %d: reduce output diverged under chaos", seed)
 		}
@@ -123,13 +142,64 @@ func TestSeededChaosReproducible(t *testing.T) {
 	policy := chaos.RetryPolicy{MaxAttempts: 6}
 	p := chaos.Policy{Seed: 99, TaskFaultRate: 0.2, ShuffleErrorRate: 0.2}
 	a, b := chaos.New(p), chaos.New(p)
-	_, _, mA := chaosRun(t, a, policy)
-	_, _, mB := chaosRun(t, b, policy)
+	_, _, mA := chaosRun(t, 4, a, policy)
+	_, _, mB := chaosRun(t, 4, b, policy)
+	if a.Snapshot().Faults == 0 {
+		t.Fatal("no faults fired; test exercised nothing")
+	}
 	if a.Snapshot() != b.Snapshot() {
 		t.Errorf("same seed, different injections: %+v vs %+v", a.Snapshot(), b.Snapshot())
 	}
 	if mA.TaskFaults != mB.TaskFaults || mA.TaskRetries != mB.TaskRetries {
 		t.Errorf("same seed, different retry metrics: %+v vs %+v", mA, mB)
+	}
+}
+
+// TestSeededChaosIndependentOfWorkers: a seeded fault pattern is a function
+// of the pipeline, not of the schedule. With fixed partition counts and an
+// unlimited retry budget, running at 1, 2 and 8 workers injects the same
+// faults, stragglers and shuffle errors and spends the same attempts. Slot
+// loss is left out: it draws per worker slot, so its pattern depends on the
+// worker count by design.
+func TestSeededChaosIndependentOfWorkers(t *testing.T) {
+	policy := chaos.RetryPolicy{MaxAttempts: 20}
+	p := chaos.Policy{
+		Seed:             1,
+		TaskFaultRate:    0.3,
+		StragglerRate:    0.2,
+		StragglerDelay:   50 * time.Microsecond,
+		ShuffleErrorRate: 0.3,
+	}
+	type run struct {
+		r   []Pair[int, int]
+		j   []Pair[int, Joined[int, string]]
+		inj chaos.Counters
+		m   MetricsSnapshot
+	}
+	var base run
+	for _, workers := range []int{1, 2, 8} {
+		inj := chaos.New(p)
+		r, j, m := chaosRun(t, workers, inj, policy)
+		got := run{r, j, inj.Snapshot(), m}
+		if workers == 1 {
+			if got.inj.Faults == 0 || got.inj.ShuffleErrors == 0 || got.inj.Stragglers == 0 {
+				t.Fatalf("injector counters %+v: every fault kind must fire", got.inj)
+			}
+			base = got
+			continue
+		}
+		if !reflect.DeepEqual(got.r, base.r) || !reflect.DeepEqual(got.j, base.j) {
+			t.Errorf("%d workers: output differs from 1 worker", workers)
+		}
+		if got.inj != base.inj {
+			t.Errorf("%d workers: injector counters %+v, 1 worker %+v", workers, got.inj, base.inj)
+		}
+		if got.m.TaskFaults != base.m.TaskFaults || got.m.TaskAttempts != base.m.TaskAttempts ||
+			got.m.TaskRetries != base.m.TaskRetries || got.m.ShuffleRetries != base.m.ShuffleRetries {
+			t.Errorf("%d workers: faults/attempts/retries/shuffle retries %d/%d/%d/%d, 1 worker %d/%d/%d/%d",
+				workers, got.m.TaskFaults, got.m.TaskAttempts, got.m.TaskRetries, got.m.ShuffleRetries,
+				base.m.TaskFaults, base.m.TaskAttempts, base.m.TaskRetries, base.m.ShuffleRetries)
+		}
 	}
 }
 
@@ -141,8 +211,7 @@ func TestRetryBudgetFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults(5)
-	_, err = d.Collect()
+	_, err = MapPartitions(d, faultFirst[int](5)).Collect()
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("Collect = %v, want ErrTaskFailed", err)
 	}

@@ -3,8 +3,9 @@ package mapreduce
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
+
+	"upa/internal/chaos"
 )
 
 // TestCombineByKeyAverage exercises the three-function combiner contract with
@@ -261,7 +262,7 @@ func TestShuffleRetriesAfterCancellation(t *testing.T) {
 // returned it; the fix retries the shuffle, which succeeds once the faults
 // are spent.
 func TestShuffleRetriesAfterFaultExhaustion(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(2))
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2}))
 	pairs := make([]Pair[int, int], 40)
 	for i := range pairs {
 		pairs[i] = Pair[int, int]{Key: i % 4, Value: 1}
@@ -270,18 +271,10 @@ func TestShuffleRetriesAfterFaultExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first mapped record injects exactly enough faults to exhaust the
-	// other source partition's attempts. Injecting mid-task lands the faults
-	// inside the shuffle's collection, past the current attempt's fault
-	// check.
-	var poison atomic.Bool
-	poison.Store(true)
-	mapped := Map(ds, func(p Pair[int, int]) Pair[int, int] {
-		if poison.CompareAndSwap(true, false) {
-			eng.InjectFaults(2)
-		}
-		return p
-	})
+	// Exactly enough faults to exhaust one source partition's attempts,
+	// raised inside the shuffle's collection; the second collection finds
+	// them spent.
+	mapped := MapPartitions(ds, faultFirst[Pair[int, int]](2))
 	rbk := ReduceByKey(mapped, func(a, b int) int { return a + b })
 
 	if _, err := rbk.Collect(); !errors.Is(err, ErrTaskFailed) {

@@ -3,7 +3,10 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+
+	"upa/internal/chaos"
 )
 
 // TestCancelledContextStopsScheduling cancels the context from inside the
@@ -32,12 +35,13 @@ func TestCancelledContextStopsScheduling(t *testing.T) {
 // TestCancelledContextStopsRetries cancels during a fault-retry loop: the
 // attempt budget must not be spent on a dead job.
 func TestCancelledContextStopsRetries(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(100))
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 100}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng.InjectFaults(100)
 	cancel()
-	err := eng.runTasks(ctx, "test:cancel-retries", 1, func(context.Context, int) error { return nil })
+	err := eng.runTasks(ctx, "test:cancel-retries", 1, func(context.Context, int) error {
+		return fmt.Errorf("%w: every attempt faults", chaos.ErrInjected)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runTasks = %v, want context.Canceled", err)
 	}

@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"upa/internal/chaos"
 )
@@ -31,9 +30,9 @@ type Engine struct {
 	metrics Metrics
 
 	// inj is the seeded chaos injector deciding which task attempts fail,
-	// straggle, or lose their worker slot. Nil-safe: a nil injector injects
-	// nothing. Swappable at runtime so tests can arm chaos mid-stream.
-	inj atomic.Pointer[chaos.Injector]
+	// straggle, or lose their worker slot, fixed when the engine is built.
+	// Nil-safe: a nil injector injects nothing.
+	inj *chaos.Injector
 
 	cache *ReductionCache
 
@@ -61,18 +60,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithMaxAttempts sets how many times a failing task is retried from lineage
-// before the job is abandoned. Values below one fall back to one. It is the
-// single-knob shorthand for WithRetryPolicy.
-func WithMaxAttempts(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.policy.MaxAttempts = n
-	}
-}
-
 // WithRetryPolicy sets the full retry contract: attempts per task,
 // exponential backoff with seeded jitter, per-attempt deadline, and the
 // per-job retry budget.
@@ -82,7 +69,7 @@ func WithRetryPolicy(p chaos.RetryPolicy) Option {
 
 // WithChaos arms the engine with a seeded fault injector. Nil disarms.
 func WithChaos(inj *chaos.Injector) Option {
-	return func(e *Engine) { e.inj.Store(inj) }
+	return func(e *Engine) { e.inj = inj }
 }
 
 // WithMemoryBudget caps the estimated bytes of materialized partitions,
@@ -105,15 +92,13 @@ func NewEngine(opts ...Option) *Engine {
 		policy:  chaos.DefaultRetryPolicy(),
 	}
 	e.cache = newReductionCache(&e.metrics)
-	// The spill store's filesystem is always the chaos wrapper: it reads
-	// the injector through e.Chaos at each operation, so SetChaos arms and
-	// disarms disk faults at runtime, and with no injector it is pure
-	// passthrough to the OS.
 	e.spill = &spillStore{metrics: &e.metrics, budget: -1}
-	e.spill.fs = newChaosFS(osFS{}, e.Chaos)
 	for _, opt := range opts {
 		opt(e)
 	}
+	// The spill store's filesystem is always the chaos wrapper; with no
+	// injector it is pure passthrough to the OS.
+	e.spill.fs = newChaosFS(osFS{}, e.inj)
 	return e
 }
 
@@ -141,10 +126,7 @@ func (e *Engine) SpillDir() string {
 func (e *Engine) RetryPolicy() chaos.RetryPolicy { return e.policy }
 
 // Chaos returns the engine's fault injector, or nil when disarmed.
-func (e *Engine) Chaos() *chaos.Injector { return e.inj.Load() }
-
-// SetChaos arms (or, with nil, disarms) the engine's fault injector.
-func (e *Engine) SetChaos(inj *chaos.Injector) { e.inj.Store(inj) }
+func (e *Engine) Chaos() *chaos.Injector { return e.inj }
 
 // Workers reports the configured worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -175,25 +157,6 @@ func (e *Engine) AccountReduceOps(n int64) {
 func (e *Engine) AccountBatches(batches, records int64) {
 	e.metrics.BatchesProcessed.Add(batches)
 	e.metrics.RecordsBatched.Add(records)
-}
-
-// InjectFaults arranges for the next n task attempts to fail artificially.
-// The scheduler retries them from lineage, exercising the fault-tolerance
-// path that commutativity/associativity enable. Legacy compatibility shim
-// over the chaos injector's counted-fault queue: if no injector is armed, a
-// zero-rate one is installed to carry the count.
-func (e *Engine) InjectFaults(n int) {
-	if n <= 0 {
-		return
-	}
-	inj := e.inj.Load()
-	if inj == nil {
-		inj = chaos.New(chaos.Policy{})
-		if !e.inj.CompareAndSwap(nil, inj) {
-			inj = e.inj.Load()
-		}
-	}
-	inj.AddCountedFaults(n)
 }
 
 // ErrTaskFailed is returned when a task keeps failing after all retry
@@ -248,7 +211,6 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 	if workers > n {
 		workers = n
 	}
-	inj := e.inj.Load()
 	budget := e.policy.NewBudget()
 
 	var (
@@ -260,7 +222,7 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 		// Slot loss: the worker never joins the pool and its share of tasks
 		// redistributes to the survivors. Slot 0 is immune (chaos guarantees
 		// it), so the job always makes progress.
-		if inj.SlotLost(site, w) {
+		if e.inj.SlotLost(site, w) {
 			e.metrics.SlotsLost.Add(1)
 			continue
 		}
@@ -276,7 +238,7 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 				if i >= n || firstErr.get() != nil {
 					return
 				}
-				if err := e.runOneTask(ctx, site, i, budget, inj, task); err != nil {
+				if err := e.runOneTask(ctx, site, i, budget, task); err != nil {
 					firstErr.set(err)
 					return
 				}
@@ -287,7 +249,7 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 	return firstErr.get()
 }
 
-func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *chaos.Budget, inj *chaos.Injector, task func(ctx context.Context, i int) error) error {
+func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *chaos.Budget, task func(ctx context.Context, i int) error) error {
 	maxAttempts := e.policy.Attempts()
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -305,20 +267,20 @@ func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *cha
 			e.metrics.TaskRetries.Add(1)
 			if d := e.policy.Backoff(site, i, attempt-1); d > 0 {
 				e.metrics.BackoffNanos.Add(int64(d))
-				if !sleepCtx(ctx, d) {
+				if !chaos.Sleep(ctx, d) {
 					return ctx.Err()
 				}
 			}
 		}
 		e.metrics.TaskAttempts.Add(1)
-		if inj.TaskFault(site, i, attempt) {
+		if e.inj.TaskFault(site, i, attempt) {
 			e.metrics.TaskFaults.Add(1)
 			lastErr = fmt.Errorf("%w: %s: task %d attempt %d", chaos.ErrInjected, site, i, attempt)
 			continue // retry: recompute from lineage
 		}
-		if d := inj.TaskDelay(site, i, attempt); d > 0 {
+		if d := e.inj.TaskDelay(site, i, attempt); d > 0 {
 			e.metrics.StragglersInjected.Add(1)
-			if !sleepCtx(ctx, d) {
+			if !chaos.Sleep(ctx, d) {
 				return ctx.Err()
 			}
 		}
@@ -367,19 +329,6 @@ func (e *Engine) runAttempt(ctx context.Context, i int, task func(ctx context.Co
 		ctx = attemptCtx
 	}
 	return task(ctx, i)
-}
-
-// sleepCtx sleeps for d or until ctx is done, reporting whether the full
-// sleep completed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // Metrics exposes the engine's atomic counters. Snapshot with

@@ -4,32 +4,34 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"upa/internal/chaos"
 )
 
 func TestEngineOptions(t *testing.T) {
-	e := NewEngine(WithWorkers(0), WithMaxAttempts(0))
+	e := NewEngine(WithWorkers(0), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 0}))
 	if e.Workers() != 1 {
 		t.Errorf("Workers = %d, want clamp to 1", e.Workers())
 	}
 	if got := e.RetryPolicy().Attempts(); got != 1 {
 		t.Errorf("Attempts = %d, want clamp to 1", got)
 	}
-	e = NewEngine(WithWorkers(4), WithMaxAttempts(5))
+	e = NewEngine(WithWorkers(4), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}))
 	if e.Workers() != 4 || e.RetryPolicy().MaxAttempts != 5 {
 		t.Errorf("options not applied: %d workers, %d attempts", e.Workers(), e.RetryPolicy().MaxAttempts)
 	}
 }
 
 func TestFaultInjectionRecovers(t *testing.T) {
-	eng := NewEngine(WithWorkers(2), WithMaxAttempts(3))
+	eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 3}))
 	d, err := FromSlice(eng, intsUpTo(100), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two faults with a three-attempt budget: even if one task absorbs
 	// both, it still has a successful attempt left.
-	eng.InjectFaults(2)
-	sum, err := Reduce(Map(d, func(x int) int { return x }), func(a, b int) int { return a + b })
+	faulty := MapPartitions(d, faultFirst[int](2))
+	sum, err := Reduce(Map(faulty, func(x int) int { return x }), func(a, b int) int { return a + b })
 	if err != nil {
 		t.Fatalf("job failed despite retry budget: %v", err)
 	}
@@ -46,13 +48,13 @@ func TestFaultInjectionRecovers(t *testing.T) {
 }
 
 func TestFaultInjectionExhaustsRetries(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(2))
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2}))
 	d, err := FromSlice(eng, intsUpTo(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults(10) // more faults than the single task's attempt budget
-	_, err = d.Collect()
+	// More faults than the single task's attempt budget.
+	_, err = MapPartitions(d, faultFirst[int](10)).Collect()
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("Collect error = %v, want ErrTaskFailed", err)
 	}
@@ -61,16 +63,18 @@ func TestFaultInjectionExhaustsRetries(t *testing.T) {
 func TestFaultRecomputesFromLineage(t *testing.T) {
 	// A fault on the final collect must recompute through the whole
 	// narrow-transformation chain and still give the right answer.
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(5))
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}))
 	d, err := FromSlice(eng, intsUpTo(10), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chain := Filter(Map(d, func(x int) int { return x + 1 }), func(x int) bool { return x%2 == 0 })
-	eng.InjectFaults(1)
-	got, err := chain.Collect()
+	got, err := MapPartitions(chain, faultFirst[int](1)).Collect()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f := eng.Metrics().TaskFaults; f != 1 {
+		t.Fatalf("TaskFaults = %d, want 1", f)
 	}
 	want := []int{2, 4, 6, 8, 10}
 	if len(got) != len(want) {
@@ -86,8 +90,8 @@ func TestFaultRecomputesFromLineage(t *testing.T) {
 func TestWideTransformSurvivesFaults(t *testing.T) {
 	// A fault during a shuffled job must recompute through the whole wide
 	// lineage and produce the exact same grouped result.
-	run := func(faults int) map[int]int {
-		eng := NewEngine(WithWorkers(2), WithMaxAttempts(5))
+	run := func(inj *chaos.Injector) map[int]int {
+		eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}), WithChaos(inj))
 		var pairs []Pair[int, int]
 		for i := 0; i < 500; i++ {
 			pairs = append(pairs, Pair[int, int]{Key: i % 7, Value: i})
@@ -96,12 +100,9 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if faults > 0 {
-			eng.InjectFaults(faults)
-		}
 		got, err := ReduceByKey(d, func(a, b int) int { return a + b }).Collect()
 		if err != nil {
-			t.Fatalf("shuffled job with %d faults failed: %v", faults, err)
+			t.Fatalf("shuffled job under chaos %+v failed: %v", inj.Snapshot(), err)
 		}
 		out := make(map[int]int, len(got))
 		for _, p := range got {
@@ -109,8 +110,12 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 		}
 		return out
 	}
-	clean := run(0)
-	faulty := run(3)
+	clean := run(nil)
+	inj := chaos.New(chaos.Policy{Seed: 4, TaskFaultRate: 0.3, ShuffleErrorRate: 0.3})
+	faulty := run(inj)
+	if inj.Snapshot().Faults == 0 {
+		t.Fatal("no faults fired; test exercised nothing")
+	}
 	if len(clean) != len(faulty) {
 		t.Fatalf("group counts differ: %d vs %d", len(clean), len(faulty))
 	}
@@ -122,16 +127,19 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 }
 
 func TestPersistedDatasetSurvivesFaults(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(4))
+	inj := chaos.New(chaos.Policy{Seed: 2, TaskFaultRate: 0.3})
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 4}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(200), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	squared := Map(d, func(x int) int { return x * x }).Persist()
-	eng.InjectFaults(2)
 	first, err := squared.Collect()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inj.Snapshot().Faults == 0 {
+		t.Fatal("no faults fired during the first collection; test exercised nothing")
 	}
 	// The persisted materialization is complete and reusable after faults.
 	mappedBefore := eng.Metrics().RecordsMapped
@@ -222,7 +230,7 @@ func TestRunTasksZero(t *testing.T) {
 }
 
 func TestApplicationErrorNotRetried(t *testing.T) {
-	eng := NewEngine(WithMaxAttempts(5))
+	eng := NewEngine(WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}))
 	appErr := errors.New("app failure")
 	calls := 0
 	err := eng.runTasks(context.Background(), "test:app-error", 1, func(context.Context, int) error {

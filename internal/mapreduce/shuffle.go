@@ -130,7 +130,6 @@ func (s *shuffled[K, V]) bucket(ctx context.Context, d *Dataset[Pair[K, V]], num
 // engine's fault-invariant metrics accounting.
 func shuffleWithRetry[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]], numParts int) (*partStore[Pair[K, V]], error) {
 	eng := d.eng
-	inj := eng.inj.Load()
 	site := d.name + ":shuffle"
 	maxAttempts := eng.policy.Attempts()
 	budget := eng.policy.NewBudget()
@@ -147,12 +146,12 @@ func shuffleWithRetry[K comparable, V any](ctx context.Context, d *Dataset[Pair[
 			eng.metrics.ShuffleRetries.Add(1)
 			if wait := eng.policy.Backoff(site, 0, attempt-1); wait > 0 {
 				eng.metrics.BackoffNanos.Add(int64(wait))
-				if !sleepCtx(ctx, wait) {
+				if !chaos.Sleep(ctx, wait) {
 					return nil, ctx.Err()
 				}
 			}
 		}
-		if inj.ShuffleError(site, attempt) {
+		if eng.inj.ShuffleError(site, attempt) {
 			lastErr = fmt.Errorf("%w: %s: shuffle attempt %d", chaos.ErrInjected, site, attempt)
 			continue
 		}

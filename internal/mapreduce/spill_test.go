@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"upa/internal/chaos"
 )
 
 // spillPipeline runs a fixed multi-stage job — map, filter, reduceByKey,
@@ -131,9 +133,9 @@ func TestSpillSurvivesFaults(t *testing.T) {
 		return spillPipeline(t, eng)
 	}()
 
-	eng := NewEngine(WithWorkers(2), WithMaxAttempts(6), WithMemoryBudget(0))
+	inj := chaos.New(chaos.Policy{Seed: 3, TaskFaultRate: 0.2, ShuffleErrorRate: 0.2})
+	eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 6}), WithMemoryBudget(0), WithChaos(inj))
 	defer eng.Close()
-	eng.InjectFaults(3)
 	got := spillPipeline(t, eng)
 
 	if len(got) != len(clean) {

@@ -174,7 +174,7 @@ func TestSpillENOSPCFallsBackToMemory(t *testing.T) {
 		return spillPipeline(t, eng)
 	}()
 
-	eng := NewEngine(WithWorkers(2), WithMaxAttempts(4), WithMemoryBudget(0),
+	eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 4}), WithMemoryBudget(0),
 		WithChaos(chaos.New(diskFaultPolicy(11, func(p *chaos.Policy) {
 			p.DiskENOSPCRate = 0.999999 // every attempt, every file
 		}))))
@@ -221,7 +221,7 @@ func TestSpillWriteFaultsRetryAndPublish(t *testing.T) {
 		return spillPipeline(t, eng)
 	}()
 
-	eng := NewEngine(WithWorkers(2), WithMaxAttempts(6), WithMemoryBudget(0),
+	eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 6}), WithMemoryBudget(0),
 		WithChaos(chaos.New(diskFaultPolicy(5, func(p *chaos.Policy) {
 			p.DiskWriteErrorRate = 0.2
 			p.DiskTornWriteRate = 0.2
@@ -273,7 +273,7 @@ func TestSpillReadFaultRecovery(t *testing.T) {
 		return spillPipeline(t, eng)
 	}()
 
-	eng := NewEngine(WithWorkers(2), WithMaxAttempts(8), WithMemoryBudget(0),
+	eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 8}), WithMemoryBudget(0),
 		WithChaos(chaos.New(diskFaultPolicy(23, func(p *chaos.Policy) {
 			p.DiskReadErrorRate = 0.25
 			p.DiskCorruptionRate = 0.25
@@ -325,7 +325,7 @@ func TestSpillRecomputeFromLineage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine(WithMemoryBudget(0), WithMaxAttempts(3))
+			eng := NewEngine(WithMemoryBudget(0), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 3}))
 			defer eng.Close()
 			d, err := FromSlice(eng, intsUpTo(300), 2)
 			if err != nil {
@@ -394,7 +394,7 @@ func TestSpillRecomputeFromLineage(t *testing.T) {
 // from, so unrecoverable on-disk rot of its files must surface as a typed
 // error — honest failure, never silently wrong records.
 func TestSpillSourceRotFailsLoudly(t *testing.T) {
-	eng := NewEngine(WithMemoryBudget(0), WithMaxAttempts(2))
+	eng := NewEngine(WithMemoryBudget(0), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2}))
 	defer eng.Close()
 	d, err := FromSlice(eng, intsUpTo(200), 2)
 	if err != nil {
@@ -512,7 +512,7 @@ func TestChaosFSDeterministicFates(t *testing.T) {
 		inj := chaos.New(diskFaultPolicy(seed, func(p *chaos.Policy) {
 			p.DiskWriteErrorRate = 0.5
 		}))
-		fs := newChaosFS(osFS{}, func() *chaos.Injector { return inj })
+		fs := newChaosFS(osFS{}, inj)
 		dir := t.TempDir()
 		var fates []bool
 		for i := 0; i < 32; i++ {

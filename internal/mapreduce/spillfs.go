@@ -13,8 +13,8 @@ import (
 // spillFS abstracts the filesystem operations the spill store performs, so
 // the chaos layer can inject storage faults — write errors, ENOSPC, torn
 // writes, rename failures, read errors, in-flight corruption — underneath
-// the real codec and recovery paths instead of around them. Production runs
-// use osFS; an engine with an armed injector gets osFS wrapped in chaosFS.
+// the real codec and recovery paths instead of around them. Every engine
+// wraps osFS in chaosFS, which is passthrough without an injector.
 type spillFS interface {
 	// MkdirTemp creates the spill directory.
 	MkdirTemp(pattern string) (string, error)
@@ -68,19 +68,17 @@ const spillSite = "spill"
 // (site, file base name, per-file attempt number), so the same logical
 // write or read fails the same way on every run with the same seed — and a
 // retry, being a later attempt, re-rolls like a real transient fault would.
-//
-// The injector is read through a func so the engine's runtime SetChaos swap
-// is honored; a nil injector makes every decision false and chaosFS is pure
+// A nil injector makes every decision false and chaosFS is pure
 // passthrough.
 type chaosFS struct {
 	inner spillFS
-	inj   func() *chaos.Injector
+	inj   *chaos.Injector
 
 	mu       sync.Mutex
 	attempts map[string]int // per (op, file base name) attempt counters
 }
 
-func newChaosFS(inner spillFS, inj func() *chaos.Injector) *chaosFS {
+func newChaosFS(inner spillFS, inj *chaos.Injector) *chaosFS {
 	return &chaosFS{inner: inner, inj: inj, attempts: make(map[string]int)}
 }
 
@@ -96,10 +94,9 @@ func (c *chaosFS) attempt(op, file string) int {
 func (c *chaosFS) MkdirTemp(pattern string) (string, error) { return c.inner.MkdirTemp(pattern) }
 
 func (c *chaosFS) Create(path string) (spillFile, error) {
-	inj := c.inj()
 	file := filepath.Base(path)
 	attempt := c.attempt("create", file)
-	if inj.DiskWriteError(spillSite, file, attempt) {
+	if c.inj.DiskWriteError(spillSite, file, attempt) {
 		return nil, fmt.Errorf("%w: disk write error creating %s (attempt %d)", chaos.ErrInjected, file, attempt)
 	}
 	f, err := c.inner.Create(path)
@@ -109,29 +106,28 @@ func (c *chaosFS) Create(path string) (spillFile, error) {
 	// Decide the write's whole fate here, at the stable coordinates, rather
 	// than per Write call (whose count depends on bufio flush boundaries).
 	switch {
-	case inj.DiskENOSPC(spillSite, file, attempt):
-		allow := int64(inj.DiskVariate(spillSite, file, attempt) % 4096)
+	case c.inj.DiskENOSPC(spillSite, file, attempt):
+		allow := int64(c.inj.DiskVariate(spillSite, file, attempt) % 4096)
 		return &enospcFile{f: f, allow: allow, file: file}, nil
-	case inj.DiskTornWrite(spillSite, file, attempt):
-		allow := int64(inj.DiskVariate(spillSite, file, attempt) % 2048)
+	case c.inj.DiskTornWrite(spillSite, file, attempt):
+		allow := int64(c.inj.DiskVariate(spillSite, file, attempt) % 2048)
 		return &tornFile{f: f, allow: allow}, nil
 	}
 	return f, nil
 }
 
 func (c *chaosFS) Open(path string) (spillFile, int64, error) {
-	inj := c.inj()
 	file := filepath.Base(path)
 	attempt := c.attempt("open", file)
-	if inj.DiskReadError(spillSite, file, attempt) {
+	if c.inj.DiskReadError(spillSite, file, attempt) {
 		return nil, 0, fmt.Errorf("%w: disk read error opening %s (attempt %d)", chaos.ErrInjected, file, attempt)
 	}
 	f, size, err := c.inner.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	if inj.DiskCorruption(spillSite, file, attempt) && size > 0 {
-		v := inj.DiskVariate(spillSite, file, attempt)
+	if c.inj.DiskCorruption(spillSite, file, attempt) && size > 0 {
+		v := c.inj.DiskVariate(spillSite, file, attempt)
 		return &corruptFile{
 			f:   f,
 			off: int64(v % uint64(size)),
@@ -144,10 +140,9 @@ func (c *chaosFS) Open(path string) (spillFile, int64, error) {
 }
 
 func (c *chaosFS) Rename(oldPath, newPath string) error {
-	inj := c.inj()
 	file := filepath.Base(newPath)
 	attempt := c.attempt("rename", file)
-	if inj.DiskRenameError(spillSite, file, attempt) {
+	if c.inj.DiskRenameError(spillSite, file, attempt) {
 		return fmt.Errorf("%w: rename to %s failed (attempt %d)", chaos.ErrInjected, file, attempt)
 	}
 	return c.inner.Rename(oldPath, newPath)

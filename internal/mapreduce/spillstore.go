@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"upa/internal/chaos"
 )
 
 // spillStore is the engine's memory-budget accountant and temp-file
@@ -364,7 +366,7 @@ func (s *partStore[T]) recoverRead(ctx context.Context, i int, read func() error
 		if attempt > 1 {
 			if d := eng.policy.Backoff(s.site+":spill-read", i, attempt-1); d > 0 {
 				eng.metrics.BackoffNanos.Add(int64(d))
-				if !sleepCtx(ctx, d) {
+				if !chaos.Sleep(ctx, d) {
 					return nil, false, ctx.Err()
 				}
 			}
