@@ -33,7 +33,8 @@ var reducerSinks = map[string]bool{
 	"Reduce": true, "ReduceCtx": true,
 	"ReduceByKey": true, "ReduceByKeyCtx": true,
 	"ReduceByPartition": true, "ReduceByPartitionCtx": true,
-	"ReduceSlice": true,
+	"ReduceSlice": true, "PrefixSuffix": true, "Complement": true, "CombineOpt": true,
+	"ReduceDP": true, "ReduceByKeyDP": true,
 	"CombineByKey": true, "CombineByKeyCtx": true,
 	"Aggregate": true, "AggregateCtx": true,
 	"CoGroup": true, "CoGroupCtx": true,
@@ -43,10 +44,10 @@ var reducerSinks = map[string]bool{
 // functions whose results change run to run. An empty set means every
 // member of the package is flagged.
 var nondeterministicPkgFuncs = map[string]map[string]bool{
-	"time":        {"Now": true, "Since": true, "Until": true},
-	"math/rand":   nil, // all package-level funcs share the unseeded global source
+	"time":         {"Now": true, "Since": true, "Until": true},
+	"math/rand":    nil, // all package-level funcs share the unseeded global source
 	"math/rand/v2": nil,
-	"crypto/rand": nil,
+	"crypto/rand":  nil,
 }
 
 // rngConstructors are math/rand members that build a local, seedable

@@ -23,8 +23,17 @@ func Aggregate(d []int, zero int, seq func(int, int) int, comb func(int, int) in
 func CombineByKey(d []Pair, create func(int) int, mergeValue func(int, int) int, mergeCombiners func(int, int) int) []Pair {
 	return d
 }
-func ReduceSlice(xs []int, f func(int, int) int) (int, bool) { return 0, false }
-func Unrelated(f func(int, int) int)                         {}
+func ReduceSlice(xs []int, f func(int, int) int) (int, bool)     { return 0, false }
+func PrefixSuffix(xs []int, f func(int, int) int) ([]int, []int) { return nil, nil }
+func Complement(pre, suf []int, lo, hi int, f func(int, int) int) (int, bool) {
+	return 0, false
+}
+func CombineOpt(f func(int, int) int, a int, aOK bool, b int, bOK bool) (int, bool) {
+	return 0, false
+}
+func ReduceDP(xs []int, f func(int, int) int) []int       { return nil }
+func ReduceByKeyDP(d []Pair, f func(int, int) int) []Pair { return d }
+func Unrelated(f func(int, int) int)                      {}
 
 var globalCounter int
 
@@ -117,5 +126,38 @@ func suppressed(d []Pair) {
 	ReduceByKey(d, func(a, b int) int {
 		hits++ //upa:allow(reducerpurity) // want `mutates captured variable "hits"` `requires a justification`
 		return a + b
+	})
+}
+
+// The union-preserving reduce's helpers and the DP operators fold the same
+// partials into many neighbours, so their reducers are sinks too.
+func unionPreservingSinks(d []Pair, xs []int) {
+	pre, suf := PrefixSuffix(xs, func(a, b int) int { return a + b })
+	_, _ = Complement(pre, suf, 0, 1, func(a, b int) int { return a + b })
+	_, _ = CombineOpt(func(a, b int) int { return a + b }, 1, true, 2, true)
+	ReduceDP(xs, func(a, b int) int { return a + b })
+	ReduceByKeyDP(d, func(a, b int) int { return a + b })
+
+	seen := 0
+	PrefixSuffix(xs, func(a, b int) int {
+		seen++ // want `mutates captured variable "seen"`
+		return a + b
+	})
+	Complement(pre, suf, 0, 1, func(a, b int) int {
+		fmt.Println(a) // want `performs I/O via fmt.Println`
+		return a + b
+	})
+	CombineOpt(func(a, b int) int {
+		return a + rand.Intn(b+1) // want `calls rand.Intn \(global nondeterministic source\)`
+	}, 1, true, 2, true)
+	ReduceDP(xs, func(a, b int) int {
+		globalCounter = b // want `mutates captured variable "globalCounter"`
+		return a + b
+	})
+	ReduceByKeyDP(d, func(a, b int) int {
+		if time.Now().Unix()%2 == 0 { // want `calls time.Now`
+			return a
+		}
+		return b
 	})
 }

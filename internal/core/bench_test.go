@@ -44,9 +44,9 @@ func BenchmarkNeighbourLoop(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pre, suf := prefixSuffix(reduce, eng, ms)
+		pre, suf := mapreduce.PrefixSuffix(eng, ms, reduce)
 		for j := range ms {
-			if _, ok := combinePrefixSuffix(reduce, eng, pre, suf, j); !ok {
+			if _, ok := mapreduce.Complement(eng, pre, suf, j, j+1, reduce); !ok {
 				b.Fatal("unexpected empty complement")
 			}
 		}

@@ -32,9 +32,9 @@ func outputsOf(res *Result) releaseOutputs {
 }
 
 // TestFaultyWarmCacheReleaseIsDeterministic is the lineage-retry determinism
-// check: a release on an engine with injected faults AND a warm reduction
-// cache (left by an earlier release) must produce byte-identical outputs to
-// the same release on a fault-free system. Task retries recompute partitions
+// check: a release on an engine with injected faults, run after an earlier
+// release on the same system, must produce byte-identical outputs to the
+// same release on a fault-free system. Task retries recompute partitions
 // through lineage, and the commit-closure discipline of partitioned stages
 // means a re-executed attempt publishes the same bytes — so faults may cost
 // time, never correctness.
@@ -49,9 +49,10 @@ func TestFaultyWarmCacheReleaseIsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// First release warms the engine's reduction cache (and advances the
-		// enforcer history) with a different query, so the second release
-		// runs against a non-empty cache without tripping the attack path.
+		// First release runs a different query on the same engine (and
+		// advances the release counter and the enforcer history), so the
+		// second release runs on a used system without tripping the attack
+		// path.
 		if _, err := Run(sys, countQuery(), data, domain); err != nil {
 			t.Fatal(err)
 		}

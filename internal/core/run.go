@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"strconv"
 	"time"
 
 	"upa/internal/jobgraph"
@@ -88,14 +87,6 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	res.SampleSize = n
 
 	reduce := q.reducer()
-	// Cache key for R(M(S')): the sensitivity loop re-reads it once per
-	// sampled neighbouring dataset, which is the Spark memory-cache reuse
-	// behind Figure 4(b). The entry is this release's alone, so it is
-	// dropped however the release ends; an engine shared across releases
-	// would otherwise keep one entry per release forever.
-	cacheKey := "upa:" + q.Name + ":rsprime:" +
-		strconv.FormatUint(sys.id, 10) + ":" + strconv.FormatUint(release, 10)
-	defer mapreduce.CacheDelete(eng.Cache(), cacheKey)
 
 	// State shared between stages. Every variable is written by exactly one
 	// stage and read only by stages that depend on it, so the scheduler's
@@ -107,11 +98,9 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		mappedPrime [2]*mapreduce.Dataset[State]
 		ms, msBar   []State
 		rsPrimeHalf [2]State
-		rsPrime     State
-		rsPrimeOK   bool
+		rsPrime     State // R(M(S')), nil when every record was sampled
 		pre, suf    []State
 		rest        []State // rest[i] = R(ms \ ms[i]) via prefix/suffix
-		restOK      []bool
 		lo, hi      []float64
 	)
 
@@ -162,16 +151,15 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		if err != nil {
 			return err
 		}
-		rsPrime, rsPrimeOK = combineOpt(reduce, eng, rsPrimeHalf[0], rsPrimeHalf[1])
+		rsPrime, _ = combineOpt(reduce, eng, rsPrimeHalf[0], rsPrimeHalf[1])
 		bulk := int64(len(data) - n)
 		sc.AddRecords(bulk)
 		if bulk > 1 {
 			sc.AddReduceOps(bulk - 1)
 		}
-		if rsPrimeOK {
-			if _, ok := mapreduce.CacheGet[State](eng.Cache(), cacheKey); !ok {
-				mapreduce.CachePut(eng.Cache(), cacheKey, rsPrime)
-			}
+		if rsPrime != nil {
+			// Computing R(M(S')) is the one cache miss of Figure 4(b).
+			eng.AccountCache(0, 1)
 		}
 		return nil
 	}, StagePartitionSample)
@@ -194,7 +182,7 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 
 	// --- Phase 3: Union Preserving Reduce (Algorithm 1) ---------------------
 	g.Stage(StagePrefixSuffix, func(_ context.Context, sc *jobgraph.StageContext) error {
-		pre, suf = prefixSuffix(reduce, eng, ms)
+		pre, suf = mapreduce.PrefixSuffix(eng, ms, reduce)
 		if n > 1 {
 			sc.AddReduceOps(int64(2 * (n - 1)))
 		}
@@ -213,23 +201,18 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 			parts = n
 		}
 		rest = make([]State, n)
-		restOK = make([]bool, n)
 		g.Partitioned(StageNeighbourDeltas, parts, func(_ context.Context, sc *jobgraph.StageContext, p int) (func(), error) {
 			clo, chi := chunkBounds(n, parts, p)
 			localRest := make([]State, chi-clo)
-			localOK := make([]bool, chi-clo)
 			var ops int64
 			for i := clo; i < chi; i++ {
-				localRest[i-clo], localOK[i-clo] = combinePrefixSuffix(reduce, eng, pre, suf, i)
+				localRest[i-clo], _ = mapreduce.Complement(eng, pre, suf, i, i+1, reduce)
 				if i > 0 && i < n-1 {
 					ops++
 				}
 			}
 			sc.AddReduceOps(ops)
-			return func() {
-				copy(rest[clo:chi], localRest)
-				copy(restOK[clo:chi], localOK)
-			}, nil
+			return func() { copy(rest[clo:chi], localRest) }, nil
 		}, StagePrefixSuffix)
 		joinDeps = append(joinDeps, StageNeighbourDeltas)
 	}
@@ -238,12 +221,18 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	}
 
 	g.Stage(StageNeighbourJoin, func(ctx context.Context, sc *jobgraph.StageContext) error {
-		fullState, fullOK := combineOpt(reduce, eng, cachedOrNil(rsPrime, rsPrimeOK), last(pre))
+		fullState, fullOK := combineOpt(reduce, eng, rsPrime, last(pre))
 		if !fullOK {
 			return fmt.Errorf("core: query %q reduced to an empty state", q.Name)
 		}
 		res.VanillaOutput = q.finalize(fullState)
 
+		if !sys.cfg.DisableReuse && rsPrime != nil {
+			// Every removal neighbour below reuses R(M(S')): the n cache
+			// hits of Figure 4(b).
+			eng.AccountCache(int64(n), 0)
+			sc.AddCacheHits(int64(n))
+		}
 		res.RemovalOutputs = make([][]float64, 0, n)
 		for i := 0; i < n; i++ {
 			var state State
@@ -255,19 +244,9 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 					return err
 				}
 			} else {
-				// Reuse R(M(S')) (a cache hit per iteration) and the
-				// precomputed prefix/suffix complement: O(1) combines per
-				// neighbour. When S' is empty (every record sampled) there
-				// is nothing cached to reuse, so the cache is not consulted.
-				base := State(nil)
-				baseOK := false
-				if rsPrimeOK {
-					if cached, hit := mapreduce.CacheGet[State](eng.Cache(), cacheKey); hit {
-						base, baseOK = cached, true
-						sc.AddCacheHits(1)
-					}
-				}
-				state, ok = combineOpt(reduce, eng, cachedOrNil(base, baseOK), cachedOrNil(rest[i], restOK[i]))
+				// Reuse R(M(S')) and the precomputed prefix/suffix
+				// complement: O(1) combines per neighbour.
+				state, ok = combineOpt(reduce, eng, rsPrime, rest[i])
 				sc.AddReduceOps(1)
 			}
 			if !ok {
@@ -293,8 +272,8 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		// O(1) combine.
 		if grp := sys.cfg.GroupSize; grp > 1 {
 			for start := 0; start+grp <= n; start += grp {
-				blockRest, blockOK := blockComplement(reduce, eng, pre, suf, start, start+grp)
-				state, ok := combineOpt(reduce, eng, cachedOrNil(rsPrime, rsPrimeOK), cachedOrNil(blockRest, blockOK))
+				blockRest, _ := mapreduce.Complement(eng, pre, suf, start, start+grp, reduce)
+				state, ok := combineOpt(reduce, eng, rsPrime, blockRest)
 				if !ok {
 					continue
 				}
@@ -362,8 +341,7 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		}
 		res.RemovedRecords = removed
 
-		finalState, finalOK := combineOpt(reduce, eng,
-			cachedOrNil(rsPrime, rsPrimeOK), prefixUpTo(pre, n-removed))
+		finalState, finalOK := combineOpt(reduce, eng, rsPrime, prefixUpTo(pre, n-removed))
 		if !finalOK {
 			finalState = make(State, q.StateDim)
 		}
@@ -528,61 +506,6 @@ func reduceSPrime(ctx context.Context, eng *mapreduce.Engine, reduce mapreduce.R
 	return out, nil
 }
 
-// prefixSuffix builds the partial-reduction arrays over the mapped samples:
-// pre[i] = R(ms[0..i]) and suf[i] = R(ms[i..n-1]). Together with R(M(S'))
-// they make every sampled neighbouring output an O(1) combine — the concrete
-// payoff of commutativity and associativity (§IV-A).
-func prefixSuffix(reduce mapreduce.Reducer[State], eng *mapreduce.Engine, ms []State) (pre, suf []State) {
-	n := len(ms)
-	if n == 0 {
-		return nil, nil
-	}
-	pre = make([]State, n)
-	suf = make([]State, n)
-	pre[0] = ms[0]
-	for i := 1; i < n; i++ {
-		pre[i] = reduce(pre[i-1], ms[i])
-	}
-	suf[n-1] = ms[n-1]
-	for i := n - 2; i >= 0; i-- {
-		suf[i] = reduce(ms[i], suf[i+1])
-	}
-	if n > 1 {
-		eng.AccountReduceOps(int64(2 * (n - 1)))
-	}
-	return pre, suf
-}
-
-// blockComplement reduces all mapped samples outside [lo, hi) — the group
-// analogue of combinePrefixSuffix.
-func blockComplement(reduce mapreduce.Reducer[State], eng *mapreduce.Engine, pre, suf []State, lo, hi int) (State, bool) {
-	n := len(pre)
-	var left, right State
-	if lo > 0 {
-		left = pre[lo-1]
-	}
-	if hi < n {
-		right = suf[hi]
-	}
-	return combineOpt(reduce, eng, left, right)
-}
-
-// combinePrefixSuffix reduces all mapped samples except index i.
-func combinePrefixSuffix(reduce mapreduce.Reducer[State], eng *mapreduce.Engine, pre, suf []State, i int) (State, bool) {
-	n := len(pre)
-	switch {
-	case n <= 1:
-		return nil, false
-	case i == 0:
-		return suf[1], true
-	case i == n-1:
-		return pre[n-2], true
-	default:
-		eng.AccountReduceOps(1)
-		return reduce(pre[i-1], suf[i+1]), true
-	}
-}
-
 // removalFromScratch recomputes f's state on x - samples[i] with no reuse:
 // it re-reduces the full remaining datasets and every other sample — the
 // per-neighbour linear cost UPA eliminates (ablation for §VI-E).
@@ -712,24 +635,7 @@ func abs(x float64) float64 {
 
 // combineOpt reduces two optional states (nil means absent).
 func combineOpt(reduce mapreduce.Reducer[State], eng *mapreduce.Engine, a, b State) (State, bool) {
-	switch {
-	case a == nil && b == nil:
-		return nil, false
-	case a == nil:
-		return b, true
-	case b == nil:
-		return a, true
-	default:
-		eng.AccountReduceOps(1)
-		return reduce(a, b), true
-	}
-}
-
-func cachedOrNil(s State, ok bool) State {
-	if !ok {
-		return nil
-	}
-	return s
+	return mapreduce.CombineOpt(eng, reduce, a, a != nil, b, b != nil)
 }
 
 func last(pre []State) State {

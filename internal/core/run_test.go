@@ -582,15 +582,38 @@ func TestPhaseTimingsTotal(t *testing.T) {
 	}
 }
 
+// TestCacheReuseCounted pins Figure 4(b)'s counters at n = 50: R(M(S')) is
+// computed once (one miss) and reused by each of the 50 removal neighbours
+// (50 hits), whether or not additions or group neighbours ride along. The
+// scratch ablation reuses nothing, and when every record is sampled there is
+// no S' to compute or reuse.
 func TestCacheReuseCounted(t *testing.T) {
-	// n=50 neighbour iterations each re-read the cached R(M(S')).
-	sys := newTestSystem(t, nil)
-	res, err := Run(sys, sumQuery(), seqData(500), nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name         string
+		records      int
+		mutate       func(*Config)
+		domain       domainSampler[float64]
+		hits, misses int64
+	}{
+		{name: "plain", records: 500, hits: 50, misses: 1},
+		{name: "additions", records: 500, domain: uniformDomain(0, 500), hits: 50, misses: 1},
+		{name: "group3", records: 500, mutate: func(c *Config) { c.GroupSize = 3 }, hits: 50, misses: 1},
+		{name: "disable-reuse", records: 500, mutate: func(c *Config) { c.DisableReuse = true }, hits: 0, misses: 1},
+		{name: "all-sampled-40", records: 40, hits: 0, misses: 0},
+		{name: "all-sampled-50", records: 50, hits: 0, misses: 0},
 	}
-	if res.EngineDelta.CacheHits < 50 {
-		t.Errorf("cache hits = %d, want >= 50 (one per sampled neighbour)", res.EngineDelta.CacheHits)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newTestSystem(t, tc.mutate)
+			res, err := Run(sys, sumQuery(), seqData(tc.records), tc.domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := res.EngineDelta
+			if d.CacheHits != tc.hits || d.CacheMisses != tc.misses {
+				t.Errorf("cache = %d hits / %d misses, want %d/%d", d.CacheHits, d.CacheMisses, tc.hits, tc.misses)
+			}
+		})
 	}
 }
 
@@ -632,10 +655,10 @@ func TestSharedEngineCacheIsolation(t *testing.T) {
 	}
 }
 
-// TestReleasesLeaveNoCacheEntries pins that a release's R(M(S′)) lives in
-// the engine's reduction cache only while the release runs: many releases
-// on one shared engine, including one that fails after caching it, leave
-// the cache empty instead of one entry per release.
+// TestReleasesLeaveNoCacheEntries pins the cache accounting across many
+// releases on one shared engine, including one that fails at fit after
+// neighbour-join reused R(M(S′)): each of the 21 releases computes R(M(S′))
+// once and reuses it 50 times, and nothing else touches the counters.
 func TestReleasesLeaveNoCacheEntries(t *testing.T) {
 	eng := mapreduce.NewEngine()
 	defer eng.Close()
@@ -652,14 +675,14 @@ func TestReleasesLeaveNoCacheEntries(t *testing.T) {
 		}
 	}
 	// Every neighbouring output of this query is one coordinate wider than
-	// OutputDim, so the fit stage fails after bulk-reduce cached R(M(S′)).
+	// OutputDim, so the fit stage fails after neighbour-join.
 	wide := sumQuery()
 	wide.Finalize = func(s State) []float64 { return []float64{s[0], s[0]} }
 	if _, err := Run(sys, wide, data, nil); err == nil {
 		t.Fatal("release with mis-sized outputs succeeded")
 	}
-	if n := eng.Cache().Len(); n != 0 {
-		t.Fatalf("reduction cache holds %d entries after 21 releases, want 0", n)
+	if m := eng.Metrics(); m.CacheMisses != 21 || m.CacheHits != 1050 {
+		t.Fatalf("cache after 21 releases = %d hits / %d misses, want 1050/21", m.CacheHits, m.CacheMisses)
 	}
 }
 

@@ -118,12 +118,8 @@ type System struct {
 	enforcer *RangeEnforcer
 	rng      *stats.RNG
 	// releases numbers the releases of this system, giving every release a
-	// distinct deterministic RNG stream; id makes cache keys unique across
-	// systems sharing one engine (two systems must never alias each
-	// other's cached R(M(S')), whose contents depend on their own sample
-	// sets).
+	// distinct deterministic RNG stream.
 	releases atomic.Uint64
-	id       uint64
 	// epsilonSpentBits is the iDP budget ledger: the float64 bits of the
 	// total ε charged across successful releases (EffectiveEpsilon ×
 	// OutputDim each). A CAS accumulator rather than a mutex so concurrent
@@ -153,10 +149,6 @@ func (s *System) EpsilonSpent() float64 {
 	return math.Float64frombits(s.epsilonSpentBits.Load())
 }
 
-// systemIDs hands every System a process-unique id. It affects only cache
-// keys, never results, so the global counter does not break determinism.
-var systemIDs atomic.Uint64
-
 // NewSystem builds a UPA system on eng with cfg.
 func NewSystem(eng *mapreduce.Engine, cfg Config) (*System, error) {
 	if eng == nil {
@@ -177,7 +169,6 @@ func NewSystem(eng *mapreduce.Engine, cfg Config) (*System, error) {
 		cfg:      cfg,
 		enforcer: NewRangeEnforcer(cfg.Tolerance),
 		rng:      rng,
-		id:       systemIDs.Add(1),
 	}, nil
 }
 

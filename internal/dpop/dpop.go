@@ -10,7 +10,9 @@
 // ReduceDP, ...) and receive neighbouring outputs alongside every
 // aggregation, from which a local sensitivity value is inferred. The
 // higher-level core package drives the same machinery end-to-end
-// (Algorithm 1 + Algorithm 2) for whole queries.
+// (Algorithm 1 + Algorithm 2) for whole queries, and ReduceDP runs core's
+// complement code: both build each neighbour from mapreduce.PrefixSuffix and
+// mapreduce.Complement.
 package dpop
 
 import (
@@ -154,56 +156,12 @@ func ReduceDP[T any](d *DPDataset[T], f mapreduce.Reducer[T]) (*ReduceResult[T],
 	}
 
 	n := len(d.samples)
-	pre := make([]T, n)
-	suf := make([]T, n)
-	pre[0] = d.samples[0]
-	for i := 1; i < n; i++ {
-		pre[i] = f(pre[i-1], d.samples[i])
-	}
-	suf[n-1] = d.samples[n-1]
-	for i := n - 2; i >= 0; i-- {
-		suf[i] = f(d.samples[i], suf[i+1])
-	}
-	if n > 1 {
-		d.eng.AccountReduceOps(int64(2 * (n - 1)))
-	}
-
-	combine := func(a T, aOK bool, b T, bOK bool) (T, bool) {
-		switch {
-		case aOK && bOK:
-			d.eng.AccountReduceOps(1)
-			return f(a, b), true
-		case aOK:
-			return a, true
-		case bOK:
-			return b, true
-		default:
-			var zero T
-			return zero, false
-		}
-	}
-
+	pre, suf := mapreduce.PrefixSuffix(d.eng, d.samples, f)
 	res := &ReduceResult[T]{Neighbours: make([]T, 0, n)}
-	full, ok := combine(restVal, restOK, pre[n-1], true)
-	if !ok {
-		return nil, fmt.Errorf("dpop: reduceDP over empty input")
-	}
-	res.Result = full
+	res.Result, _ = mapreduce.CombineOpt(d.eng, f, restVal, restOK, pre[n-1], true)
 	for i := 0; i < n; i++ {
-		var rest T
-		restPartOK := false
-		switch {
-		case n == 1:
-			// removing the only sample leaves S' alone
-		case i == 0:
-			rest, restPartOK = suf[1], true
-		case i == n-1:
-			rest, restPartOK = pre[n-2], true
-		default:
-			d.eng.AccountReduceOps(1)
-			rest, restPartOK = f(pre[i-1], suf[i+1]), true
-		}
-		neighbour, nOK := combine(restVal, restOK, rest, restPartOK)
+		rest, restPartOK := mapreduce.Complement(d.eng, pre, suf, i, i+1, f)
+		neighbour, nOK := mapreduce.CombineOpt(d.eng, f, restVal, restOK, rest, restPartOK)
 		if !nOK {
 			// x had exactly one record; its removal leaves an empty
 			// dataset, which has no reduction value. Skip, as Spark's

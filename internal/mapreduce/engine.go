@@ -34,8 +34,6 @@ type Engine struct {
 	// Nil-safe: a nil injector injects nothing.
 	inj *chaos.Injector
 
-	cache *ReductionCache
-
 	// spill is the memory-budget accountant and temp-file allocator behind
 	// out-of-core execution: materializations past the budget live in
 	// deterministic spill files instead of RAM (see spillstore.go).
@@ -91,7 +89,6 @@ func NewEngine(opts ...Option) *Engine {
 		workers: runtime.GOMAXPROCS(0),
 		policy:  chaos.DefaultRetryPolicy(),
 	}
-	e.cache = newReductionCache(&e.metrics)
 	e.spill = &spillStore{metrics: &e.metrics, budget: -1}
 	for _, opt := range opts {
 		opt(e)
@@ -131,10 +128,6 @@ func (e *Engine) Chaos() *chaos.Injector { return e.inj }
 // Workers reports the configured worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Cache returns the engine's reduction cache (UPA memoizes R(M(S')) and other
-// reusable reductions here; hit rates feed the Figure 4(b) reproduction).
-func (e *Engine) Cache() *ReductionCache { return e.cache }
-
 // AccountShuffle records one shuffle round moving records rows between
 // partitions. Components that physically move data outside the built-in wide
 // transformations (e.g. UPA's RANGE ENFORCER partitioning, §IV-B) use it so
@@ -149,6 +142,15 @@ func (e *Engine) AccountShuffle(records int) {
 // the operation accounting comparable between vanilla and UPA runs.
 func (e *Engine) AccountReduceOps(n int64) {
 	e.metrics.ReduceOps.Add(n)
+}
+
+// AccountCache records hits reuses of a memoized reduction and misses
+// computations of one. UPA computes R(M(S')) once per release (one miss) and
+// combines it into each of the n sampled neighbours (n hits, §VI-E); the
+// counts feed the Figure 4(b) cache-hit rate.
+func (e *Engine) AccountCache(hits, misses int64) {
+	e.metrics.CacheHits.Add(hits)
+	e.metrics.CacheMisses.Add(misses)
 }
 
 // AccountBatches records a vectorized pipeline processing batches windows

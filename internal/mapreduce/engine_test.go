@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"upa/internal/chaos"
@@ -187,38 +188,77 @@ func TestCacheHitRate(t *testing.T) {
 	}
 }
 
+// TestReductionCache pins AccountCache's arithmetic: hits and misses add
+// exactly into their own counters and nowhere else.
 func TestReductionCache(t *testing.T) {
 	eng := NewEngine()
-	c := eng.Cache()
-	if _, ok := CacheGet[[]float64](c, "k"); ok {
-		t.Fatal("hit on empty cache")
-	}
-	CachePut(c, "k", []float64{1, 2})
-	got, ok := CacheGet[[]float64](c, "k")
-	if !ok || len(got) != 2 {
-		t.Fatalf("CacheGet = %v, %v", got, ok)
-	}
-	// Wrong-type access is a miss, not a panic — and it evicts the stale
-	// entry so the key is not poisoned for every future typed get (a
-	// get-then-put-if-missing caller would otherwise never repopulate it).
-	if _, ok := CacheGet[string](c, "k"); ok {
-		t.Fatal("wrong-type cache access succeeded")
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len after wrong-type get = %d, want 0 (stale entry must be evicted)", c.Len())
-	}
-	// The next put under the same key repopulates, and the typed get hits.
-	CachePut(c, "k", "replacement")
-	if got, ok := CacheGet[string](c, "k"); !ok || got != "replacement" {
-		t.Fatalf("CacheGet after replacement = %q, %v", got, ok)
-	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Errorf("Len after Clear = %d, want 0", c.Len())
-	}
+	eng.AccountCache(3, 1)
+	eng.AccountCache(0, 2)
+	eng.AccountCache(5, 0)
 	m := eng.Metrics()
-	if m.CacheHits != 2 || m.CacheMisses != 2 {
-		t.Errorf("cache counters = %d hits / %d misses, want 2/2", m.CacheHits, m.CacheMisses)
+	if m.CacheHits != 8 || m.CacheMisses != 3 {
+		t.Fatalf("cache counters = %d hits / %d misses, want 8/3", m.CacheHits, m.CacheMisses)
+	}
+	if got, want := m.CacheHitRate(), 8.0/11; got != want {
+		t.Errorf("CacheHitRate = %v, want %v", got, want)
+	}
+	m.CacheHits, m.CacheMisses = 0, 0
+	if m != (MetricsSnapshot{}) {
+		t.Errorf("AccountCache moved another counter: %+v", m)
+	}
+}
+
+// TestReductionCacheConcurrent accounts from 8 goroutines at once; the sums
+// must come out exact, and -race pins that the counters need no lock.
+func TestReductionCacheConcurrent(t *testing.T) {
+	eng := NewEngine()
+	const goroutines, accounts = 8, 200
+	var wg sync.WaitGroup
+	for g := 1; g <= goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < accounts; i++ {
+				eng.AccountCache(int64(g), 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	m := eng.Metrics()
+	wantHits := int64(accounts * goroutines * (goroutines + 1) / 2)
+	if m.CacheHits != wantHits || m.CacheMisses != goroutines*accounts {
+		t.Fatalf("cache counters = %d hits / %d misses, want %d/%d",
+			m.CacheHits, m.CacheMisses, wantHits, goroutines*accounts)
+	}
+}
+
+// TestReductionCacheGrowsUnbounded accounts many times on one engine and
+// reads the counters through Sub at every tenth account: the deltas must sum
+// exactly to the totals, as a release's EngineDelta relies on.
+func TestReductionCacheGrowsUnbounded(t *testing.T) {
+	eng := NewEngine()
+	eng.AccountCache(7, 7) // earlier traffic the deltas must exclude
+	start := eng.Metrics()
+	prev := start
+	var sumHits, sumMisses, wantHits, wantMisses int64
+	for i := 1; i <= 500; i++ {
+		eng.AccountCache(int64(i), int64(i%2))
+		wantHits += int64(i)
+		wantMisses += int64(i % 2)
+		if i%10 == 0 {
+			now := eng.Metrics()
+			d := now.Sub(prev)
+			sumHits += d.CacheHits
+			sumMisses += d.CacheMisses
+			prev = now
+		}
+	}
+	total := eng.Metrics().Sub(start)
+	if total.CacheHits != wantHits || total.CacheMisses != wantMisses {
+		t.Fatalf("delta = %d hits / %d misses, want %d/%d", total.CacheHits, total.CacheMisses, wantHits, wantMisses)
+	}
+	if sumHits != wantHits || sumMisses != wantMisses {
+		t.Fatalf("summed deltas = %d hits / %d misses, want %d/%d", sumHits, sumMisses, wantHits, wantMisses)
 	}
 }
 

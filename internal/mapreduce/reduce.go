@@ -138,3 +138,60 @@ func ReduceSlice[T any](xs []T, f Reducer[T]) (T, bool) {
 	}
 	return acc, true
 }
+
+// PrefixSuffix returns the partial reductions of xs: pre[i] = f(xs[0..i])
+// and suf[i] = f(xs[i..n-1]). Together they make the reduction of xs
+// without any element or contiguous block one combine (Complement) — the
+// union-preserving reduce's O(1) cost per sampled neighbour (§IV-A). Each
+// fold keeps xs's order, and eng is charged the 2(n−1) reduce operations.
+func PrefixSuffix[T any](eng *Engine, xs []T, f Reducer[T]) (pre, suf []T) {
+	n := len(xs)
+	if n == 0 {
+		return nil, nil
+	}
+	pre = make([]T, n)
+	suf = make([]T, n)
+	pre[0] = xs[0]
+	for i := 1; i < n; i++ {
+		pre[i] = f(pre[i-1], xs[i])
+	}
+	suf[n-1] = xs[n-1]
+	for i := n - 2; i >= 0; i-- {
+		suf[i] = f(xs[i], suf[i+1])
+	}
+	eng.AccountReduceOps(int64(2 * (n - 1)))
+	return pre, suf
+}
+
+// Complement reduces the elements of xs outside [lo, hi) from xs's
+// PrefixSuffix partials, left part before right, returning ok=false when
+// nothing is left. Complement(pre, suf, i, i+1) is the leave-one-out
+// reduction without xs[i].
+func Complement[T any](eng *Engine, pre, suf []T, lo, hi int, f Reducer[T]) (T, bool) {
+	var left, right T
+	if lo > 0 {
+		left = pre[lo-1]
+	}
+	if hi < len(suf) {
+		right = suf[hi]
+	}
+	return CombineOpt(eng, f, left, lo > 0, right, hi < len(suf))
+}
+
+// CombineOpt reduces two optional values: f(a, b), charged to eng as one
+// reduce operation, when both are present; else whichever is present; else
+// ok=false.
+func CombineOpt[T any](eng *Engine, f Reducer[T], a T, aOK bool, b T, bOK bool) (T, bool) {
+	switch {
+	case aOK && bOK:
+		eng.AccountReduceOps(1)
+		return f(a, b), true
+	case aOK:
+		return a, true
+	case bOK:
+		return b, true
+	default:
+		var zero T
+		return zero, false
+	}
+}
