@@ -391,7 +391,6 @@ type jobStage struct {
 	Deps            []string `json:"deps"`
 	DurationUS      float64  `json:"durationUs"`
 	Attempts        int      `json:"attempts"`
-	Speculative     int      `json:"speculative"`
 	Retries         int64    `json:"retries"`
 	TaskFaults      int64    `json:"taskFaults"`
 	BackoffUS       float64  `json:"backoffUs"`
@@ -450,7 +449,6 @@ func (s *server) recordJob(res *core.Result) {
 			Deps:            deps,
 			DurationUS:      micros(span.Duration()),
 			Attempts:        span.Attempts,
-			Speculative:     span.Speculative,
 			Retries:         span.Retries,
 			TaskFaults:      span.TaskFaults,
 			BackoffUS:       micros(time.Duration(span.BackoffNanos)),

@@ -2,10 +2,10 @@
 // combiners, or aggregators whose bodies are impure. UPA's R(M(S')) reuse
 // (PAPER.md §IV-A) folds the same partial states into many neighbouring
 // outputs in arbitrary association orders; the engine's map-side combine and
-// the jobgraph's speculative re-execution both re-run reducers freely. All
-// of that is only sound when a reducer is a pure function of its arguments:
-// no mutation of captured variables, no I/O, no wall clock, no global
-// randomness, and no results accumulated under map iteration order.
+// the retries of engine tasks and jobgraph stages all re-run reducers
+// freely. All of that is only sound when a reducer is a pure function of its
+// arguments: no mutation of captured variables, no I/O, no wall clock, no
+// global randomness, and no results accumulated under map iteration order.
 package reducerpurity
 
 import (

@@ -29,10 +29,10 @@ func TestCovered(t *testing.T) {
 		// The spill codec/store files live in the engine package itself;
 		// a future split-out subpackage stays covered by the prefix rule.
 		"upa/internal/mapreduce/spill": true,
-		"upa/internal/jobgraph":          true,
-		"upa/examples/wordcount":         true,
-		"upa/internal/core":              false,
-		"upa/internal/mapreducer":        false,
+		"upa/internal/jobgraph":        true,
+		"upa/examples/wordcount":       true,
+		"upa/internal/core":            false,
+		"upa/internal/mapreducer":      false,
 	} {
 		if got := seededdeterminism.Covered(path); got != want {
 			t.Errorf("Covered(%q) = %v, want %v", path, got, want)

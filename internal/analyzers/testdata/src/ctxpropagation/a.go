@@ -7,11 +7,11 @@ import "context"
 
 type Dataset struct{}
 
-func (d *Dataset) Collect() ([]int, error)                           { return nil, nil }
-func (d *Dataset) CollectCtx(ctx context.Context) ([]int, error)     { return nil, nil }
-func (d *Dataset) Count() (int, error)                               { return 0, nil }
-func (d *Dataset) CountCtx(ctx context.Context) (int, error)         { return 0, nil }
-func ReduceByKey(d *Dataset, f func(int, int) int) *Dataset          { return d }
+func (d *Dataset) Collect() ([]int, error)                       { return nil, nil }
+func (d *Dataset) CollectCtx(ctx context.Context) ([]int, error) { return nil, nil }
+func (d *Dataset) Count() (int, error)                           { return 0, nil }
+func (d *Dataset) CountCtx(ctx context.Context) (int, error)     { return 0, nil }
+func ReduceByKey(d *Dataset, f func(int, int) int) *Dataset      { return d }
 func ReduceByKeyCtx(ctx context.Context, d *Dataset, f func(int, int) int) *Dataset {
 	return d
 }

@@ -26,8 +26,8 @@ type StageRow struct {
 	// Counters the stage reported into its span.
 	Records, ShuffledRecords, ShuffleBytes, ReduceOps, CacheHits int64
 	// RecordsCombined counts records a map-side combine kept off the wire.
-	RecordsCombined       int64
-	Attempts, Speculative int
+	RecordsCombined int64
+	Attempts        int
 	// TaskFaults and Retries are the stage's fault-recovery counters: injected
 	// faults absorbed and attempts re-run under the retry policy.
 	TaskFaults, Retries int64
@@ -93,7 +93,6 @@ func StageBreakdown(cfg Config, model cluster.Model) ([]StageRow, []PlanRow, err
 				CacheHits:       s.CacheHits,
 				RecordsCombined: s.RecordsCombined,
 				Attempts:        s.Attempts,
-				Speculative:     s.Speculative,
 				TaskFaults:      s.TaskFaults,
 				Retries:         s.Retries,
 				SimCost:         plan.Stages[i].Cost.Total(),

@@ -40,7 +40,7 @@ type Policy struct {
 	TaskFaultRate float64
 	// StragglerRate is the probability that one task attempt is delayed by
 	// StragglerDelay before running — the straggler injection that
-	// exercises speculation and deadline handling.
+	// exercises per-attempt deadline handling.
 	StragglerRate  float64
 	StragglerDelay time.Duration
 	// ShuffleErrorRate is the probability that one shuffle materialization

@@ -2,10 +2,32 @@ package chaos
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync/atomic"
 	"time"
 )
+
+// ErrExhausted marks a retry loop that gave up: its attempts or its job's
+// retry budget ran out. The engine knows it as mapreduce.ErrTaskFailed. It
+// is terminal at every level, even when the chain also carries the
+// ErrInjected fault that caused it: the inner loop already re-ran the work
+// as often as the policy allows, and running it again from an outer loop
+// would double-run its tasks.
+var ErrExhausted = errors.New("chaos: retries exhausted")
+
+// Transient is the one classification of a failed attempt shared by the
+// engine's task and shuffle loops and the jobgraph's stage loop: an injected
+// fault, or a per-attempt deadline that fired while live (the job's own
+// context) is still running, is worth another attempt — unless an inner loop
+// already gave up on it (ErrExhausted). Application errors and cancellation
+// of the job itself are terminal.
+func Transient(err error, live context.Context) bool {
+	if errors.Is(err, ErrExhausted) {
+		return false
+	}
+	return errors.Is(err, ErrInjected) || errors.Is(err, context.DeadlineExceeded) && live.Err() == nil
+}
 
 // RetryPolicy governs how the engine and the jobgraph scheduler respond to
 // retryable failures: how many attempts each task gets, how long to back off

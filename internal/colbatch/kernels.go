@@ -24,7 +24,9 @@ type Num interface{ ~int64 | ~float64 }
 type Ordered interface{ ~int64 | ~float64 | ~string }
 
 // Eltype is any column element type.
-type Eltype interface{ ~int64 | ~float64 | ~string | ~bool }
+type Eltype interface {
+	~int64 | ~float64 | ~string | ~bool
+}
 
 // Widen converts an int64 column to float64 — the numeric widening
 // sql.Compare and mixed arithmetic apply.

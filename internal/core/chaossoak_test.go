@@ -52,12 +52,12 @@ func soakRetryPolicy() chaos.RetryPolicy {
 	}
 }
 
-// soakRun performs two releases (count warms the reduction cache and the
-// enforcer history, sum runs against it) on a fresh system whose engine and
-// jobgraph share the given injector, returning the releases' deterministic
-// outputs, the iDP budget ledger, and the engine's total metrics. budget is
-// the engine's in-memory materialization budget: negative runs fully in
-// memory, zero forces every materialization through the spill path.
+// soakRun performs two releases (count fills the enforcer history, sum
+// runs against it) on a fresh system whose engine and jobgraph share the
+// given injector, returning the releases' deterministic outputs, the iDP
+// budget ledger, and the engine's total metrics. budget is the engine's
+// in-memory materialization budget: negative runs fully in memory, zero
+// forces every materialization through the spill path.
 func soakRun(t *testing.T, inj *chaos.Injector, budget int64) ([]releaseOutputs, float64, mapreduce.MetricsSnapshot) {
 	t.Helper()
 	data := seqData(400)

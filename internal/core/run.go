@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"time"
 
 	"upa/internal/jobgraph"
 	"upa/internal/mapreduce"
@@ -17,23 +16,19 @@ import (
 // model assumes for the paper's testbed.
 const approxRecordBytes = 100
 
-// speculationAfter is how long a partition of a partitioned release stage
-// may straggle before the scheduler launches a speculative duplicate. Stage
-// partitions are pure up to their commit, so duplicates never change
-// outputs; releases normally complete in milliseconds, so this only fires on
-// a genuinely wedged worker.
-const speculationAfter = time.Second
-
 // Stage names of the release jobgraph. The DAG (see DESIGN.md):
 //
-//	partition-sample ─┬─► bulk-reduce ────────────────┐
-//	                  ├─► map-samples ─► prefix-suffix┼─► neighbour-join ─► fit ─► enforce ─► perturb
-//	                  │                     └► neighbour-deltas ─┘
-//	                  └─► map-additions ──────────────┘
+//	partition-sample ─┬─► bulk-reduce ───────────────────────────────────┐
+//	                  ├─► map-samples ─► prefix-suffix ─┬────────────────┼─► neighbour-join ─► fit ─► enforce ─► perturb
+//	                  │                                 └► neighbour-deltas ┤
+//	                  └─► map-additions ─────────────────────────────────┘
 //
-// neighbour-deltas (the per-neighbour prefix/suffix combines) depends only
-// on prefix-suffix, so it overlaps the bulk R(M(S')) reduction — the
-// pipelining that a flat phase loop serialized at artificial barriers.
+// Every stage is one task on the graph's slot pool; the engine jobs a stage
+// starts run their own tasks on the engine's workers. neighbour-deltas (the
+// n leave-one-out complements of Algorithm 1) depends only on prefix-suffix,
+// so it overlaps the bulk R(M(S')) reduction — the pipelining that a flat
+// phase loop serialized at artificial barriers. It is absent under
+// DisableReuse, and map-additions without a domain sampler.
 const (
 	StagePartitionSample = "partition-sample"
 	StageBulkReduce      = "bulk-reduce"
@@ -106,7 +101,6 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 
 	g := jobgraph.New("release:"+q.Name,
 		jobgraph.WithSlots(eng.Workers()),
-		jobgraph.WithSpeculation(speculationAfter),
 		// Stage-level retries share the engine's policy and seeded injector,
 		// so one chaos configuration governs both schedulers.
 		jobgraph.WithRetryPolicy(eng.RetryPolicy()),
@@ -193,26 +187,15 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	if !sys.cfg.DisableReuse {
 		// The per-neighbour complements rest[i] depend only on the
 		// prefix/suffix partials, so this stage overlaps the bulk reduction.
-		// It is partitioned so straggling chunks can be speculatively
-		// re-executed; each partition publishes through its commit closure,
-		// keeping duplicate attempts output-invisible.
-		parts := eng.Workers()
-		if parts > n {
-			parts = n
-		}
-		rest = make([]State, n)
-		g.Partitioned(StageNeighbourDeltas, parts, func(_ context.Context, sc *jobgraph.StageContext, p int) (func(), error) {
-			clo, chi := chunkBounds(n, parts, p)
-			localRest := make([]State, chi-clo)
-			var ops int64
-			for i := clo; i < chi; i++ {
-				localRest[i-clo], _ = mapreduce.Complement(eng, pre, suf, i, i+1, reduce)
-				if i > 0 && i < n-1 {
-					ops++
-				}
+		// Each complement is at most one combine, so the stage is one task.
+		g.Stage(StageNeighbourDeltas, func(_ context.Context, sc *jobgraph.StageContext) error {
+			rest = make([]State, n)
+			for i := range rest {
+				rest[i], _ = mapreduce.Complement(eng, pre, suf, i, i+1, reduce)
 			}
-			sc.AddReduceOps(ops)
-			return func() { copy(rest[clo:chi], localRest) }, nil
+			// Only the interior complements combine a prefix with a suffix.
+			sc.AddReduceOps(int64(max(n-2, 0)))
+			return nil
 		}, StagePrefixSuffix)
 		joinDeps = append(joinDeps, StageNeighbourDeltas)
 	}
@@ -429,19 +412,6 @@ func phasesFromSpans(spans []jobgraph.Span) PhaseTimings {
 		}
 	}
 	return p
-}
-
-// chunkBounds splits n items into parts contiguous chunks as evenly as
-// possible and returns chunk p's [lo, hi) range.
-func chunkBounds(n, parts, p int) (lo, hi int) {
-	base := n / parts
-	rem := n % parts
-	lo = p*base + min(p, rem)
-	hi = lo + base
-	if p < rem {
-		hi++
-	}
-	return lo, hi
 }
 
 // mapThrough maps records through the engine, preserving order.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -707,5 +708,87 @@ func TestSensitivityCoversNeighbours(t *testing.T) {
 	cov := stats.CoverageFraction(col, res.RangeLo[0], res.RangeHi[0])
 	if cov < 0.95 {
 		t.Fatalf("inferred range covers only %.1f%% of sampled neighbours", cov*100)
+	}
+}
+
+// TestSpansIndependentOfWorkerCount: every release stage is one task, so a
+// release's outputs, span counters and engine counters other than the task
+// counts are the same on 1, 2 or 8 workers; in particular neighbour-deltas
+// runs once and charges one combine per interior complement.
+func TestSpansIndependentOfWorkerCount(t *testing.T) {
+	const n = 50
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		q      Query[float64]
+		domain domainSampler[float64]
+	}{
+		{countQuery(), nil},
+		{sumQuery(), uniformDomain(0, 500)},
+	} {
+		var ref *Result
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.SampleSize = n
+			sys, err := NewSystem(mapreduce.NewEngine(mapreduce.WithWorkers(workers)), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(sys, tc.q, seqData(500), tc.domain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range res.Spans {
+				if s.Stage == StageNeighbourDeltas && (s.Attempts != 1 || s.ReduceOps != n-2) {
+					t.Errorf("%s, %d workers: neighbour-deltas %d attempts / %d reduce ops, want 1/%d",
+						tc.q.Name, workers, s.Attempts, s.ReduceOps, n-2)
+				}
+			}
+			if ref == nil {
+				ref = res
+				continue
+			}
+			for _, f := range []struct {
+				name     string
+				got, ref []float64
+			}{
+				{"Output", res.Output, ref.Output},
+				{"RawOutput", res.RawOutput, ref.RawOutput},
+				{"Sensitivity", res.Sensitivity, ref.Sensitivity},
+				{"RangeLo", res.RangeLo, ref.RangeLo},
+				{"RangeHi", res.RangeHi, ref.RangeHi},
+			} {
+				if !slices.Equal(bits(f.got), bits(f.ref)) {
+					t.Errorf("%s, %d workers: %s = %v, want %v as on 1 worker", tc.q.Name, workers, f.name, f.got, f.ref)
+				}
+			}
+			if res.ClampedCoords != ref.ClampedCoords {
+				t.Errorf("%s, %d workers: ClampedCoords = %d, want %d", tc.q.Name, workers, res.ClampedCoords, ref.ClampedCoords)
+			}
+			// The engine jobs the stages start still split their input
+			// into eng.Workers() partitions (mapThrough, mapSPrime), so
+			// their task counts follow the worker count; every other
+			// engine counter must not.
+			got, want := res.EngineDelta, ref.EngineDelta
+			got.TaskAttempts, got.TasksRun, want.TaskAttempts, want.TasksRun = 0, 0, 0, 0
+			if got != want {
+				t.Errorf("%s, %d workers: EngineDelta = %+v, want %+v", tc.q.Name, workers, res.EngineDelta, ref.EngineDelta)
+			}
+			if len(res.Spans) != len(ref.Spans) {
+				t.Fatalf("%s, %d workers: %d spans, want %d", tc.q.Name, workers, len(res.Spans), len(ref.Spans))
+			}
+			for i, s := range res.Spans {
+				r := ref.Spans[i]
+				if s.Stage != r.Stage || s.Attempts != r.Attempts || s.ReduceOps != r.ReduceOps || s.CacheHits != r.CacheHits {
+					t.Errorf("%s, %d workers: span %s = %d attempts / %d reduce ops / %d cache hits, want %s = %d/%d/%d",
+						tc.q.Name, workers, s.Stage, s.Attempts, s.ReduceOps, s.CacheHits, r.Stage, r.Attempts, r.ReduceOps, r.CacheHits)
+				}
+			}
+		}
 	}
 }

@@ -258,7 +258,7 @@ type Result struct {
 	// seeds the release's RNG stream and keys its cache entries.
 	Release uint64
 	// Spans records one entry per jobgraph stage the release executed —
-	// start/end, attempts (including speculative re-executions), and the
+	// start/end, attempts (including retries), and the
 	// records/shuffle/reduce/cache counters each stage reported.
 	Spans []jobgraph.Span
 }

@@ -4,56 +4,42 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"upa/internal/chaos"
 )
 
-// TestLateSpeculativeCommitNotAppliedAfterFailure is the regression test for
-// the speculative double-commit audit: a speculative twin that wins the
-// claim while the stage is concurrently failing must either complete its
-// commit before Run returns or be suppressed entirely — it must never mutate
-// caller-visible state after Run has returned. Run under -race, the old
-// scheduler (commit outside any synchronization with stage completion) is
-// flagged here: the twin's slow commit raced with the test's post-Run read.
+// TestLateSpeculativeCommitNotAppliedAfterFailure: when one stage fails,
+// Run waits for every in-flight sibling to finish before it returns, so no
+// stage mutates caller-visible state after Run has returned. The write is
+// deliberately unsynchronized: under -race, a Run that returned while the
+// slow sibling was still writing is flagged here.
 func TestLateSpeculativeCommitNotAppliedAfterFailure(t *testing.T) {
 	boom := errors.New("boom")
-	failNow := make(chan struct{})
-	var part0Calls atomic.Int64
+	slowStarted := make(chan struct{})
 	commitRan := 0 // deliberately unsynchronized: the race detector is the assertion
-	g := New("g", WithSlots(8), WithSpeculation(time.Millisecond)).
-		Partitioned("work", 2, func(ctx context.Context, _ *StageContext, p int) (func(), error) {
-			if p == 1 {
-				// The failing partition waits until the twin has produced
-				// its commit closure, so the failure and the commit race.
-				select {
-				case <-failNow:
-				case <-ctx.Done():
-				}
-				return nil, boom
-			}
-			if part0Calls.Add(1) == 1 {
-				<-ctx.Done() // primary straggles; speculation spawns a twin
-				return nil, ctx.Err()
-			}
-			close(failNow)
-			return func() {
-				time.Sleep(5 * time.Millisecond) // slow commit
-				commitRan++
-			}, nil
+	g := New("g", WithSlots(2)).
+		Stage("fail", func(context.Context, *StageContext) error {
+			<-slowStarted
+			return boom
+		}).
+		Stage("slow", func(context.Context, *StageContext) error {
+			close(slowStarted)
+			time.Sleep(5 * time.Millisecond) // slow write, deaf to the abort
+			commitRan++
+			return nil
 		})
 	_, err := g.Run(context.Background())
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run() = %v, want boom", err)
 	}
-	// Whatever the commit's fate, it must be settled by now: observing a
-	// commit running after Run returned means the scheduler leaked it.
-	before := commitRan
+	if commitRan != 1 {
+		t.Fatalf("slow stage's write not settled when Run returned: commitRan = %d", commitRan)
+	}
 	time.Sleep(20 * time.Millisecond)
-	if commitRan != before {
-		t.Fatalf("commit mutated state after Run returned: %d -> %d", before, commitRan)
+	if commitRan != 1 {
+		t.Fatalf("stage mutated state after Run returned: commitRan = %d", commitRan)
 	}
 }
 
@@ -131,95 +117,55 @@ func TestGraphRetryBudgetFailsFast(t *testing.T) {
 	}
 }
 
-// TestPartitionedStageRetriesSeededFaults: seeded chaos on a partitioned
-// stage — the stage absorbs the faults, commits every partition exactly
-// once, and the fault pattern is reproducible run to run.
+// TestPartitionedStageRetriesSeededFaults: a stage under seeded stage
+// faults absorbs them, runs its body once, and the same seed reproduces the
+// same fault and retry counts run to run.
 func TestPartitionedStageRetriesSeededFaults(t *testing.T) {
-	const parts = 8
 	policy := chaos.RetryPolicy{MaxAttempts: 6, BaseBackoff: 10 * time.Microsecond}
-	// Probe for a seed that faults at least one first attempt but lets every
-	// partition through within the attempt allowance — deterministic at test
-	// time, robust to hash details.
-	site := "g/work"
-	var seed uint64
-	for s := uint64(1); s < 200; s++ {
-		probe := chaos.New(chaos.Policy{Seed: s, TaskFaultRate: 0.4})
-		anyFault, allPass := false, true
-		for p := 0; p < parts; p++ {
-			if probe.StageFault(site, p, 1) {
-				anyFault = true
-			}
-			ok := false
-			for a := 1; a <= policy.MaxAttempts; a++ {
-				if !probe.StageFault(site, p, a) {
-					ok = true
-					break
-				}
-			}
-			allPass = allPass && ok
-		}
-		if anyFault && allPass {
-			seed = s
-			break
-		}
-	}
-	if seed == 0 {
-		t.Fatal("no usable probe seed found")
-	}
-
-	run := func() (Span, []int64) {
-		commits := make([]int64, parts)
-		g := New("g", WithSlots(4),
-			WithRetryPolicy(policy),
-			WithChaos(chaos.New(chaos.Policy{Seed: seed, TaskFaultRate: 0.4}))).
-			Partitioned("work", parts, func(_ context.Context, _ *StageContext, p int) (func(), error) {
-				return func() { commits[p]++ }, nil
-			})
+	// Attempt 1 faults, attempt 2 passes.
+	faults := findStageSeed(t, 0.4, []bool{true, false})
+	run := func() Span {
+		ran := 0
+		g := New("g", WithSlots(4), WithRetryPolicy(policy), WithChaos(chaos.New(faults))).
+			Stage("work", func(context.Context, *StageContext) error { ran++; return nil })
 		spans, err := g.Run(context.Background())
 		if err != nil {
 			t.Fatalf("Run() = %v, want recovery under seeded faults", err)
 		}
-		return spans[0], commits
-	}
-	s1, c1 := run()
-	s2, c2 := run()
-	for p := 0; p < parts; p++ {
-		if c1[p] != 1 || c2[p] != 1 {
-			t.Fatalf("partition %d committed %d/%d times, want exactly once", p, c1[p], c2[p])
+		if ran != 1 {
+			t.Fatalf("stage body ran %d times, want exactly once", ran)
 		}
+		return spans[0]
 	}
+	s1, s2 := run(), run()
 	if s1.TaskFaults == 0 || s1.Retries == 0 {
 		t.Errorf("span recorded %d faults / %d retries, want > 0", s1.TaskFaults, s1.Retries)
 	}
-	if s1.TaskFaults != s2.TaskFaults || s1.Retries != s2.Retries {
-		t.Errorf("same seed, different fault pattern: %d/%d vs %d/%d",
-			s1.TaskFaults, s1.Retries, s2.TaskFaults, s2.Retries)
+	if s1.TaskFaults != s2.TaskFaults || s1.Retries != s2.Retries || s1.BackoffNanos != s2.BackoffNanos {
+		t.Errorf("same seed, different fault pattern: %d/%d/%d vs %d/%d/%d",
+			s1.TaskFaults, s1.Retries, s1.BackoffNanos, s2.TaskFaults, s2.Retries, s2.BackoffNanos)
 	}
 }
 
-// TestPartitionAttemptDeadlineRetries: a partition attempt exceeding the
-// policy's per-attempt deadline is cancelled and re-run while the job stays
-// live.
+// TestPartitionAttemptDeadlineRetries: a stage attempt exceeding the
+// policy's per-attempt deadline is cancelled and re-run once while the job
+// stays live.
 func TestPartitionAttemptDeadlineRetries(t *testing.T) {
-	var calls atomic.Int64
-	committed := atomic.Bool{}
+	calls := 0
 	g := New("g", WithSlots(2),
 		WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 3, TaskDeadline: 5 * time.Millisecond})).
-		Partitioned("work", 1, func(ctx context.Context, _ *StageContext, _ int) (func(), error) {
-			if calls.Add(1) == 1 {
+		Stage("work", func(ctx context.Context, _ *StageContext) error {
+			if calls++; calls == 1 {
 				<-ctx.Done() // hang until the attempt deadline fires
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
-			return func() { committed.Store(true) }, nil
+			return nil
 		})
 	spans, err := g.Run(context.Background())
 	if err != nil {
 		t.Fatalf("Run() = %v, want recovery on second attempt", err)
 	}
-	if !committed.Load() {
-		t.Error("winning attempt's commit not applied")
-	}
-	if spans[0].Retries != 1 {
-		t.Errorf("Retries = %d, want 1", spans[0].Retries)
+	if calls != 2 || spans[0].Attempts != 2 || spans[0].Retries != 1 {
+		t.Errorf("stage ran %d times, span %d attempts / %d retries; want 2, 2/1", calls, spans[0].Attempts, spans[0].Retries)
 	}
 }

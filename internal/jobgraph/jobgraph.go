@@ -1,11 +1,12 @@
 // Package jobgraph is the release planner underneath UPA's core: a
 // declarative DAG of named stages scheduled topologically over a shared slot
-// pool. Independent stages run concurrently (pipelining — the per-neighbour
-// delta combines overlap the bulk R(M(S')) reduction), partitioned stages
-// speculatively re-execute straggler partitions, and every stage leaves a
-// Span record (start/end, task attempts, records, shuffle bytes, cache hits)
-// that downstream layers price into simulated cluster time or report over
-// HTTP.
+// pool. Each stage is one task; independent stages run concurrently
+// (pipelining — the per-neighbour delta combines overlap the bulk R(M(S'))
+// reduction), a stage that fails transiently is retried under the retry
+// policy, and every stage leaves a Span record (start/end, task attempts,
+// records, shuffle bytes, cache hits) that downstream layers price into
+// simulated cluster time or report over HTTP. The engine retries the tasks
+// of the jobs a stage starts; the graph retries whole stages.
 //
 // The package is substrate-agnostic: it knows nothing about the mapreduce
 // engine beyond a slot count, so any future executor (multi-process,
@@ -32,15 +33,12 @@ type Span struct {
 	// Stage is the stage name; Deps its declared dependencies.
 	Stage string   `json:"stage"`
 	Deps  []string `json:"deps"`
-	// Start and End bracket the stage's execution, including any time its
-	// tasks spent waiting for a free slot.
+	// Start and End bracket the stage's execution, including any time it
+	// spent waiting for a free slot.
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
-	// Attempts counts task executions (1 for a plain stage; partitions plus
-	// speculative re-executions for a partitioned stage). Speculative counts
-	// the duplicate attempts launched against straggler partitions.
-	Attempts    int `json:"attempts"`
-	Speculative int `json:"speculative"`
+	// Attempts counts executions of the stage's task: 1 plus its Retries.
+	Attempts int `json:"attempts"`
 	// Retries counts re-executions after retryable failures (injected faults,
 	// attempt deadlines), TaskFaults the chaos-injected failures absorbed by
 	// the stage, and BackoffNanos the time spent waiting between attempts —
@@ -78,39 +76,28 @@ func (s Span) Duration() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// StageFunc is the body of a plain (single-task) stage. The context is
-// cancelled when the graph is aborted; the StageContext collects the stage's
-// span counters.
+// StageFunc is the body of a stage: one task. The context is cancelled when
+// the graph is aborted; the StageContext collects the stage's span counters.
 type StageFunc func(ctx context.Context, sc *StageContext) error
-
-// PartFunc computes one partition of a partitioned stage. It must confine
-// its side effects to the returned commit closure (nil when there is nothing
-// to publish): under speculation two attempts of the same partition may run
-// concurrently, and the scheduler applies exactly one winner's commit.
-type PartFunc func(ctx context.Context, sc *StageContext, part int) (commit func(), err error)
 
 // stage is one declared node of the graph.
 type stage struct {
-	name   string
-	deps   []string
-	fn     StageFunc
-	parts  int      // 0 for plain stages
-	partFn PartFunc // set when parts > 0
+	name string
+	deps []string
+	fn   StageFunc
 }
 
-// Graph is a declarative DAG of named stages. Build it with Stage and
-// Partitioned, then execute with Run. A Graph is single-use: Run may be
-// called once.
+// Graph is a declarative DAG of named stages. Build it with Stage, then
+// execute with Run. A Graph is single-use: Run may be called once.
 type Graph struct {
-	name      string
-	slots     int
-	specAfter time.Duration
-	policy    chaos.RetryPolicy
-	inj       *chaos.Injector
-	now       func() time.Time
-	stages    []*stage
-	index     map[string]int
-	buildErr  error
+	name     string
+	slots    int
+	policy   chaos.RetryPolicy
+	inj      *chaos.Injector
+	now      func() time.Time
+	stages   []*stage
+	index    map[string]int
+	buildErr error
 }
 
 // Option configures a Graph.
@@ -127,26 +114,17 @@ func WithSlots(n int) Option {
 	}
 }
 
-// WithSpeculation enables speculative re-execution for partitioned stages:
-// any partition still running `after` the stage started gets one duplicate
-// attempt, and the first attempt to finish wins (its commit is applied; the
-// loser's is discarded). Partition functions must therefore be pure up to
-// their commit closure. A non-positive duration disables speculation.
-func WithSpeculation(after time.Duration) Option {
-	return func(g *Graph) { g.specAfter = after }
-}
-
-// WithRetryPolicy sets the stage-level retry contract: attempts per stage
-// task, exponential backoff with seeded jitter, per-attempt deadline, and a
-// per-Run retry budget shared by retries and speculative launches. Callers
-// normally pass the engine's own policy so both schedulers behave alike.
+// WithRetryPolicy sets the stage-level retry contract: attempts per stage,
+// exponential backoff with seeded jitter, per-attempt deadline, and a
+// per-Run retry budget shared by every stage. Callers normally pass the
+// engine's own policy so both schedulers behave alike.
 func WithRetryPolicy(p chaos.RetryPolicy) Option {
 	return func(g *Graph) { g.policy = p }
 }
 
-// WithChaos arms the graph with a seeded fault injector: stage tasks may
-// fail or straggle before running, exercising the retry and speculation
-// paths deterministically. Nil disarms.
+// WithChaos arms the graph with a seeded fault injector: stages may fail or
+// straggle before running, exercising the retry path deterministically. Nil
+// disarms.
 func WithChaos(inj *chaos.Injector) Option {
 	return func(g *Graph) { g.inj = inj }
 }
@@ -183,47 +161,22 @@ func (g *Graph) setErr(err error) {
 	}
 }
 
-func (g *Graph) add(s *stage) *Graph {
-	if s.name == "" {
-		g.setErr(fmt.Errorf("jobgraph: %s: stage with empty name", g.name))
-		return g
-	}
-	if _, dup := g.index[s.name]; dup {
-		g.setErr(fmt.Errorf("jobgraph: %s: duplicate stage %q", g.name, s.name))
-		return g
-	}
-	g.index[s.name] = len(g.stages)
-	g.stages = append(g.stages, s)
-	return g
-}
-
-// Stage declares a plain single-task stage that runs fn once after every
-// stage named in deps has completed. Construction errors (empty or duplicate
-// names, nil functions) are deferred to Validate/Run so call sites chain
-// cleanly.
+// Stage declares a stage that runs fn once after every stage named in deps
+// has completed. Construction errors (empty or duplicate names, nil
+// functions) are deferred to Validate/Run so call sites chain cleanly.
 func (g *Graph) Stage(name string, fn StageFunc, deps ...string) *Graph {
-	if fn == nil {
+	switch _, dup := g.index[name]; {
+	case fn == nil:
 		g.setErr(fmt.Errorf("jobgraph: %s: stage %q has nil function", g.name, name))
-		return g
+	case name == "":
+		g.setErr(fmt.Errorf("jobgraph: %s: stage with empty name", g.name))
+	case dup:
+		g.setErr(fmt.Errorf("jobgraph: %s: duplicate stage %q", g.name, name))
+	default:
+		g.index[name] = len(g.stages)
+		g.stages = append(g.stages, &stage{name: name, deps: deps, fn: fn})
 	}
-	return g.add(&stage{name: name, deps: deps, fn: fn})
-}
-
-// Partitioned declares a stage of parts independent tasks scheduled on the
-// shared slot pool. fn computes one partition and returns a commit closure
-// (possibly nil) that publishes the partition's result; the scheduler
-// applies exactly one commit per partition even when speculation launches
-// duplicate attempts.
-func (g *Graph) Partitioned(name string, parts int, fn PartFunc, deps ...string) *Graph {
-	if fn == nil {
-		g.setErr(fmt.Errorf("jobgraph: %s: stage %q has nil function", g.name, name))
-		return g
-	}
-	if parts < 1 {
-		g.setErr(fmt.Errorf("jobgraph: %s: stage %q has %d partitions, need >= 1", g.name, name, parts))
-		return g
-	}
-	return g.add(&stage{name: name, deps: deps, parts: parts, partFn: fn})
+	return g
 }
 
 // Validate checks the graph: construction errors, unknown dependencies, and

@@ -3,10 +3,13 @@ package jobgraph
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"upa/internal/chaos"
 )
 
 func noop(context.Context, *StageContext) error { return nil }
@@ -22,7 +25,6 @@ func TestValidateRejectsBadGraphs(t *testing.T) {
 		{"duplicate stage", New("g").Stage("a", noop).Stage("a", noop), "duplicate"},
 		{"nil function", New("g").Stage("a", nil), "nil function"},
 		{"unknown dep", New("g").Stage("a", noop, "ghost"), "unknown stage"},
-		{"zero partitions", New("g").Partitioned("a", 0, func(context.Context, *StageContext, int) (func(), error) { return nil, nil }), "partitions"},
 		{"self cycle", New("g").Stage("a", noop, "a"), "cycle"},
 	}
 	for _, c := range cases {
@@ -105,64 +107,90 @@ func TestIndependentStagesOverlap(t *testing.T) {
 	}
 }
 
+// TestPartitionedStageCommitsEveryPartition: in a clean run every stage
+// runs its one task once, and what a stage writes is visible to the stages
+// that depend on it — the scheduler's completion order is the happens-before
+// edge between them.
 func TestPartitionedStageCommitsEveryPartition(t *testing.T) {
 	const parts = 8
 	out := make([]int, parts)
-	g := New("g", WithSlots(3)).
-		Partitioned("square", parts, func(_ context.Context, sc *StageContext, p int) (func(), error) {
-			v := p * p
+	var sum int
+	g := New("g", WithSlots(3))
+	deps := make([]string, parts)
+	for p := range parts {
+		deps[p] = fmt.Sprintf("square-%d", p)
+		g.Stage(deps[p], func(_ context.Context, sc *StageContext) error {
+			out[p] = p * p
 			sc.AddRecords(1)
-			return func() { out[p] = v }, nil
+			return nil
 		})
+	}
+	g.Stage("sum", func(context.Context, *StageContext) error {
+		for _, v := range out {
+			sum += v
+		}
+		return nil
+	}, deps...)
 	spans, err := g.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, v := range out {
-		if v != p*p {
-			t.Errorf("out[%d] = %d, want %d", p, v, p*p)
+	if want := 140; sum != want { // 0² + 1² + … + 7²
+		t.Errorf("dependent stage read sum %d, want %d", sum, want)
+	}
+	for _, s := range spans {
+		if s.Attempts != 1 || s.Retries != 0 {
+			t.Errorf("stage %s: %d attempts / %d retries, want 1/0 in a clean run", s.Stage, s.Attempts, s.Retries)
 		}
 	}
-	if spans[0].Attempts != parts || spans[0].Records != parts {
-		t.Errorf("span = %+v, want %d attempts and records", spans[0], parts)
-	}
-	if spans[0].Speculative != 0 {
-		t.Errorf("speculative = %d, want 0 without speculation", spans[0].Speculative)
+	if spans[0].Records != 1 {
+		t.Errorf("span records = %d, want 1", spans[0].Records)
 	}
 }
 
-// TestSpeculativeRetry blocks the first attempt of one partition forever;
-// with speculation enabled a duplicate attempt completes the stage, the
-// duplicate's commit wins, and the straggler's late result is discarded.
+// TestSpeculativeRetry: a stage whose first attempt straggles past the
+// attempt deadline does not hold back an independent sibling — the sibling
+// completes while the straggler still occupies its slot — and the straggler's
+// late retry is the attempt whose result the stage returns.
 func TestSpeculativeRetry(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
+	slowStarted := make(chan struct{})
+	siblingDone := make(chan struct{})
 	var calls atomic.Int64
-	out := make([]string, 2)
-	g := New("g", WithSlots(4), WithSpeculation(5*time.Millisecond)).
-		Partitioned("work", 2, func(ctx context.Context, _ *StageContext, p int) (func(), error) {
-			if p == 0 && calls.Add(1) == 1 {
-				// First attempt of partition 0 straggles until the test ends.
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
-				return func() { out[0] = "straggler" }, nil
+	var out string
+	g := New("g", WithSlots(2),
+		WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2, TaskDeadline: 20 * time.Millisecond})).
+		Stage("slow", func(ctx context.Context, _ *StageContext) error {
+			if calls.Add(1) > 1 {
+				out = "retry"
+				return nil
 			}
-			return func() { out[p] = "fast" }, nil
+			close(slowStarted)
+			select {
+			case <-siblingDone:
+			case <-time.After(5 * time.Second):
+				return errors.New("sibling held back by the straggler")
+			}
+			<-ctx.Done() // straggle until the attempt deadline fires
+			return ctx.Err()
+		}).
+		Stage("sibling", func(context.Context, *StageContext) error {
+			<-slowStarted
+			close(siblingDone)
+			return nil
 		})
 	spans, err := g.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spans[0].Speculative < 1 {
-		t.Fatalf("speculative = %d, want >= 1", spans[0].Speculative)
+	if out != "retry" {
+		t.Errorf("stage result %q, want the retry's", out)
 	}
-	if out[0] != "fast" || out[1] != "fast" {
-		t.Fatalf("out = %v, want both committed by winning attempts", out)
+	slow, sibling := spans[0], spans[1]
+	if slow.Attempts != 2 || slow.Retries != 1 {
+		t.Errorf("straggler span = %d attempts / %d retries, want 2/1", slow.Attempts, slow.Retries)
 	}
-	if spans[0].Attempts < 3 {
-		t.Errorf("attempts = %d, want >= 3 (2 primaries + 1 speculative)", spans[0].Attempts)
+	if !sibling.End.Before(slow.End) {
+		t.Errorf("sibling ended at %v, after the straggler's %v", sibling.End, slow.End)
 	}
 }
 
@@ -187,17 +215,19 @@ func TestStageErrorAbortsDownstream(t *testing.T) {
 	}
 }
 
+// TestPartitionFailureFailsStage: an application error is terminal — it
+// fails Run at once and the stage is not retried.
 func TestPartitionFailureFailsStage(t *testing.T) {
-	boom := errors.New("part boom")
-	g := New("g", WithSlots(2)).
-		Partitioned("work", 4, func(_ context.Context, _ *StageContext, p int) (func(), error) {
-			if p == 2 {
-				return nil, boom
-			}
-			return nil, nil
-		})
-	if _, err := g.Run(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Run() = %v, want part boom", err)
+	boom := errors.New("stage boom")
+	ran := 0
+	g := New("g", WithSlots(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 3})).
+		Stage("work", func(context.Context, *StageContext) error { ran++; return boom })
+	spans, err := g.Run(context.Background())
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run() = %v, want stage boom", err)
+	}
+	if ran != 1 || spans[0].Attempts != 1 || spans[0].Retries != 0 {
+		t.Errorf("stage ran %d times, span %d attempts / %d retries; want 1, 1/0", ran, spans[0].Attempts, spans[0].Retries)
 	}
 }
 

@@ -161,9 +161,10 @@ func (e *Engine) AccountBatches(batches, records int64) {
 	e.metrics.RecordsBatched.Add(records)
 }
 
-// ErrTaskFailed is returned when a task keeps failing after all retry
-// attempts.
-var ErrTaskFailed = errors.New("mapreduce: task failed after retries")
+// ErrTaskFailed is returned when a task or shuffle keeps failing after all
+// retry attempts, or its job's retry budget runs out. It is
+// chaos.ErrExhausted, the terminal marker every retry loop shares.
+var ErrTaskFailed = chaos.ErrExhausted
 
 // firstErrSlot retains the first error reported by any worker. A plain
 // mutex-guarded slot, deliberately not an atomic.Value: workers racing to
@@ -292,32 +293,27 @@ func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *cha
 			return nil
 		}
 		switch {
-		case errors.Is(err, ErrTaskFailed):
-			// A nested job (e.g. a shuffle this task depends on) already
-			// exhausted its own attempts; its error chain may carry
-			// chaos.ErrInjected, but re-running it would double-run its
-			// tasks — terminal, checked before the injected-fault case.
-			return err
-		case errors.Is(err, chaos.ErrInjected):
-			e.metrics.TaskFaults.Add(1)
-			lastErr = err
-			continue
-		case errors.Is(err, ErrSpillCorrupt):
+		case chaos.Transient(err, ctx):
+			if errors.Is(err, chaos.ErrInjected) {
+				e.metrics.TaskFaults.Add(1)
+			} else {
+				// The attempt's own deadline fired while the job is still
+				// live: treat the straggling attempt as crashed and
+				// recompute.
+				e.metrics.DeadlinesExceeded.Add(1)
+			}
+		case errors.Is(err, ErrSpillCorrupt) && !errors.Is(err, ErrTaskFailed):
 			// A spill file failed its checksums and the store's own
 			// recovery (retry + lineage recompute) could not clear it
 			// within its attempts; a fresh task attempt re-runs the read
 			// and recovery from the top.
-			lastErr = err
-			continue
-		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
-			// The attempt's own deadline fired while the job is still live:
-			// treat the straggling attempt as crashed and recompute.
-			e.metrics.DeadlinesExceeded.Add(1)
-			lastErr = err
-			continue
 		default:
-			return err // application error or job cancellation: terminal
+			// An application error, a job cancellation, or a nested job
+			// (e.g. a shuffle this task depends on) that already exhausted
+			// its own attempts: re-running that would double-run its tasks.
+			return err
 		}
+		lastErr = err
 	}
 	return fmt.Errorf("%w: %s: task %d gave up after %d attempts: %w",
 		ErrTaskFailed, site, i, maxAttempts, lastErr)

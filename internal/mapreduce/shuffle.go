@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"upa/internal/chaos"
@@ -159,7 +158,7 @@ func shuffleWithRetry[K comparable, V any](ctx context.Context, d *Dataset[Pair[
 		if err == nil {
 			return out, nil
 		}
-		if errors.Is(err, chaos.ErrInjected) && !errors.Is(err, ErrTaskFailed) {
+		if chaos.Transient(err, ctx) {
 			lastErr = err
 			continue
 		}
