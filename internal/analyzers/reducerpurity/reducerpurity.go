@@ -30,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 // pure. Matching is by callee name (qualified or not), which covers both
 // in-package calls and mapreduce.X / core.X call sites.
 var reducerSinks = map[string]bool{
-	"Reduce": true, "ReduceCtx": true,
+	"Reduce": true, "ReduceCtx": true, "MapFold": true,
 	"ReduceByKey": true, "ReduceByKeyCtx": true,
 	"ReduceByPartition": true, "ReduceByPartitionCtx": true,
 	"ReduceSlice": true, "PrefixSuffix": true, "Complement": true, "CombineOpt": true,

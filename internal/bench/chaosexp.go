@@ -40,6 +40,9 @@ type ChaosRow struct {
 	Backoff        time.Duration
 	// SimCost is the cluster-model price of the run; SimRetry its Retry
 	// component; Overhead the price normalized to the fault-free baseline.
+	// All three are zero, and render as "—", when the release did not
+	// complete: which concurrent stages had started before the abort is
+	// scheduling, so a failed run has no reproducible price.
 	SimCost  time.Duration
 	SimRetry time.Duration
 	Overhead float64
@@ -146,11 +149,11 @@ func ChaosSweep(cfg Config, model cluster.Model, rates []float64, policies []Cha
 				ShuffleRetries: m.ShuffleRetries,
 				SlotsLost:      m.SlotsLost,
 				Backoff:        time.Duration(m.BackoffNanos),
-				SimCost:        cost.Total(),
-				SimRetry:       cost.Retry,
-				Overhead:       float64(cost.Total()) / float64(baseCost.Total()),
 			}
 			if runErr == nil {
+				row.SimCost = cost.Total()
+				row.SimRetry = cost.Retry
+				row.Overhead = float64(cost.Total()) / float64(baseCost.Total())
 				out, err := json.Marshal(res.Output)
 				if err != nil {
 					return nil, err
@@ -168,6 +171,10 @@ func ChaosSweep(cfg Config, model cluster.Model, rates []float64, policies []Cha
 	return rows, nil
 }
 
+// unpriced stands in for the price columns of a release that did not
+// complete.
+const unpriced = "—"
+
 // RenderChaos renders the chaos sweep.
 func RenderChaos(rows []ChaosRow) string {
 	var b strings.Builder
@@ -177,14 +184,14 @@ func RenderChaos(rows []ChaosRow) string {
 		"rate", "policy", "attempts", "done", "faults", "retries", "shufretr", "slots",
 		"backoff", "sim", "overhead")
 	for _, r := range rows {
-		done := "ok"
+		done, sim, overhead := "ok", r.SimCost.Round(time.Microsecond).String(), fmt.Sprintf("%.2fx", r.Overhead)
 		if !r.Completed {
-			done = "FAILED"
+			done, sim, overhead = "FAILED", unpriced, unpriced
 		}
-		fmt.Fprintf(&b, "%-8.2f %-10s %8d %9s %7d %7d %8d %6d %10v %12v %8.2fx\n",
+		fmt.Fprintf(&b, "%-8.2f %-10s %8d %9s %7d %7d %8d %6d %10v %12s %9s\n",
 			r.FaultRate, r.Policy, r.MaxAttempts, done,
 			r.TaskFaults, r.TaskRetries, r.ShuffleRetries, r.SlotsLost,
-			r.Backoff.Round(time.Microsecond), r.SimCost.Round(time.Microsecond), r.Overhead)
+			r.Backoff.Round(time.Microsecond), sim, overhead)
 	}
 	return b.String()
 }

@@ -92,3 +92,41 @@ func TestDefaultChaosPoliciesShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosSweepCSVReproducible runs one sweep configuration twice and
+// requires byte-identical CSV. Recovery counters are a pure function of the
+// seeded injector; a release that did not complete carries no price,
+// because the stages that had started before its abort are scheduling.
+func TestChaosSweepCSVReproducible(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Seed = 1
+	rates := []float64{0.05, 0.2}
+	var runs [2]bytes.Buffer
+	failed := 0
+	for i := range runs {
+		rows, err := ChaosSweep(cfg, cluster.PaperTestbed(), rates, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if !r.Completed {
+				failed++
+				if r.SimCost != 0 || r.SimRetry != 0 || r.Overhead != 0 {
+					t.Errorf("rate %v policy %s did not complete but is priced: %+v", r.FaultRate, r.Policy, r)
+				}
+			}
+		}
+		if err := WriteChaosCSV(&runs[i], rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("every release completed: the sweep proves nothing about failed rows")
+	}
+	if a, b := runs[0].String(), runs[1].String(); a != b {
+		t.Fatalf("two sweeps of one configuration wrote different CSV:\n%s\n%s", a, b)
+	}
+	if !strings.Contains(runs[0].String(), ",—,—,—") {
+		t.Errorf("failed rows do not render their price as —:\n%s", runs[0].String())
+	}
+}

@@ -147,18 +147,22 @@ func WriteSpillCSV(w io.Writer, rows []SpillRow) error {
 	})
 }
 
-// WriteChaosCSV writes the chaos fault-rate × retry-policy sweep.
+// WriteChaosCSV writes the chaos fault-rate × retry-policy sweep. A row
+// whose release did not complete has "—" for its price columns.
 func WriteChaosCSV(w io.Writer, rows []ChaosRow) error {
 	header := []string{"query", "fault_rate", "policy", "max_attempts", "completed",
 		"deterministic", "task_faults", "task_retries", "shuffle_retries", "slots_lost",
 		"backoff_us", "sim_us", "sim_retry_us", "overhead"}
 	return writeCSV(w, header, len(rows), func(i int) []string {
 		r := rows[i]
+		sim, simRetry, overhead := dtoa(r.SimCost), dtoa(r.SimRetry), ftoa(r.Overhead)
+		if !r.Completed {
+			sim, simRetry, overhead = unpriced, unpriced, unpriced
+		}
 		return []string{r.Query, ftoa(r.FaultRate), r.Policy, itoa(r.MaxAttempts),
 			strconv.FormatBool(r.Completed), strconv.FormatBool(r.Deterministic),
 			itoa64(r.TaskFaults), itoa64(r.TaskRetries), itoa64(r.ShuffleRetries),
-			itoa64(r.SlotsLost), dtoa(r.Backoff), dtoa(r.SimCost), dtoa(r.SimRetry),
-			ftoa(r.Overhead)}
+			itoa64(r.SlotsLost), dtoa(r.Backoff), sim, simRetry, overhead}
 	})
 }
 

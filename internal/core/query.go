@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"upa/internal/mapreduce"
 	"upa/internal/stats"
@@ -34,17 +35,24 @@ type State = []float64
 // associative MapReduce reducer, used by every aggregation query unless the
 // query supplies its own. It never mutates its inputs.
 func VectorAdd(a, b State) State {
-	if len(a) != len(b) {
+	out := make(State, len(a))
+	copy(out, a)
+	addInto(out, b)
+	return out
+}
+
+// addInto is VectorAdd in place: acc[i] += s[i], bit-equal to
+// VectorAdd(acc, s)[i].
+func addInto(acc, s State) {
+	if len(acc) != len(s) {
 		// Reducer signatures cannot return errors; mismatched states are a
 		// programming error caught by Query validation before any reduce
 		// runs, so this is unreachable in validated queries.
-		panic(fmt.Sprintf("core: reducing states of lengths %d and %d", len(a), len(b)))
+		panic(fmt.Sprintf("core: reducing states of lengths %d and %d", len(acc), len(s)))
 	}
-	out := make(State, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
+	for i := range acc {
+		acc[i] += s[i]
 	}
-	return out
 }
 
 // Query is a big-data query in UPA's Mapper/Reducer form.
@@ -64,6 +72,14 @@ type Query[T any] struct {
 	Map func(T) State
 	// Reduce combines two states; nil means VectorAdd.
 	Reduce mapreduce.Reducer[State]
+	// MapInto, when set, folds one record into an accumulator in place: it
+	// must leave acc bit-equal to VectorAdd(acc, Map(x)), so a query that
+	// sets it releases exactly what its Map alone would. The fold of the
+	// remaining records S′ calls it instead of Map to allocate no State per
+	// record. Map stays required: samples, additions and the baselines
+	// still map one record at a time. MapInto assumes the default reducer,
+	// so Validate rejects it together with Reduce.
+	MapInto func(acc State, x T)
 	// Finalize converts the total state into the output; nil means identity
 	// (requires OutputDim == StateDim).
 	Finalize func(State) []float64
@@ -83,6 +99,9 @@ func (q Query[T]) Validate() error {
 	if q.OutputDim < 1 {
 		return fmt.Errorf("core: query %q has OutputDim %d, want >= 1", q.Name, q.OutputDim)
 	}
+	if q.MapInto != nil && q.Reduce != nil {
+		return fmt.Errorf("core: query %q sets MapInto with a custom Reduce; MapInto folds by VectorAdd", q.Name)
+	}
 	if q.Finalize == nil && q.OutputDim != q.StateDim {
 		return fmt.Errorf("core: query %q has no Finalize but OutputDim %d != StateDim %d",
 			q.Name, q.OutputDim, q.StateDim)
@@ -96,6 +115,25 @@ func (q Query[T]) reducer() mapreduce.Reducer[State] {
 		return q.Reduce
 	}
 	return VectorAdd
+}
+
+// fold returns q's map-and-reduce as the first and step functions of
+// mapreduce.MapFold. first copies Map(x), so the accumulator is the
+// fold's own and keeps Map's bits (a zero-seeded one would turn a −0
+// first state into +0). Under the default reducer step adds in place,
+// through MapInto when the query has one; a custom reducer is applied as
+// acc = Reduce(acc, Map(x)).
+func (q Query[T]) fold() (first func(T) State, step func(State, T) State) {
+	first = func(x T) State { return slices.Clone(q.Map(x)) }
+	switch {
+	case q.Reduce != nil:
+		step = func(acc State, x T) State { return q.Reduce(acc, q.Map(x)) }
+	case q.MapInto != nil:
+		step = func(acc State, x T) State { q.MapInto(acc, x); return acc }
+	default:
+		step = func(acc State, x T) State { addInto(acc, q.Map(x)); return acc }
+	}
+	return first, step
 }
 
 // finalize returns the effective finalizer output for state.

@@ -90,7 +90,7 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		samples     []T
 		halves      []int // which RANGE ENFORCER partition each sample came from
 		additions   []T
-		mappedPrime [2]*mapreduce.Dataset[State]
+		sPrime      [2]*mapreduce.Dataset[T]
 		ms, msBar   []State
 		rsPrimeHalf [2]State
 		rsPrime     State // R(M(S')), nil when every record was sampled
@@ -134,14 +134,14 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 			}
 		}
 		var err error
-		mappedPrime, err = mapSPrime(eng, q, data, mid, sampleIdx)
+		sPrime, err = splitSPrime(eng, data, mid, sampleIdx)
 		return err
 	})
 
 	// --- Phase 2/3: bulk reduction of R(M(S')) ------------------------------
 	g.Stage(StageBulkReduce, func(ctx context.Context, sc *jobgraph.StageContext) error {
 		var err error
-		rsPrimeHalf, err = reduceSPrime(ctx, eng, reduce, mappedPrime)
+		rsPrimeHalf, err = reduceSPrime(ctx, q, sPrime)
 		if err != nil {
 			return err
 		}
@@ -222,7 +222,7 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 			var ok bool
 			if sys.cfg.DisableReuse {
 				var err error
-				state, ok, err = removalFromScratch(ctx, eng, q, mappedPrime, ms, i)
+				state, ok, err = removalFromScratch(ctx, eng, q, sPrime, ms, i)
 				if err != nil {
 					return err
 				}
@@ -430,12 +430,11 @@ func mapThrough[T any](ctx context.Context, eng *mapreduce.Engine, q Query[T], r
 	return mapreduce.Map(ds, q.Map).CollectCtx(ctx)
 }
 
-// mapSPrime builds the lazily mapped datasets of the two remaining-record
-// halves: S' of half h is data[:mid] or data[mid:] minus that half's sampled
-// positions, read in place by the engine rather than copied. The datasets
-// stay lazy so the scratch-recompute ablation re-executes the map, like
-// lineage recomputation would.
-func mapSPrime[T any](eng *mapreduce.Engine, q Query[T], data []T, mid int, sampleIdx []int) ([2]*mapreduce.Dataset[State], error) {
+// splitSPrime builds the datasets of the two remaining-record halves: S' of
+// half h is data[:mid] or data[mid:] minus that half's sampled positions,
+// read in place by the engine rather than copied. A half with no remaining
+// record has a nil dataset.
+func splitSPrime[T any](eng *mapreduce.Engine, data []T, mid int, sampleIdx []int) ([2]*mapreduce.Dataset[T], error) {
 	skip := slices.Clone(sampleIdx)
 	slices.Sort(skip)
 	cut, _ := slices.BinarySearch(skip, mid)
@@ -444,7 +443,7 @@ func mapSPrime[T any](eng *mapreduce.Engine, q Query[T], data []T, mid int, samp
 	}
 	halfData := [2][]T{data[:mid], data[mid:]}
 	halfSkip := [2][]int{skip[:cut], skip[cut:]}
-	var out [2]*mapreduce.Dataset[State]
+	var out [2]*mapreduce.Dataset[T]
 	for h := 0; h < 2; h++ {
 		size := len(halfData[h]) - len(halfSkip[h])
 		if size == 0 {
@@ -454,20 +453,23 @@ func mapSPrime[T any](eng *mapreduce.Engine, q Query[T], data []T, mid int, samp
 		if err != nil {
 			return out, err
 		}
-		out[h] = mapreduce.Map(ds, q.Map)
+		out[h] = ds
 	}
 	return out, nil
 }
 
-// reduceSPrime reduces each mapped half of S' on the engine, returning the
-// per-half partial state or nil when the half is empty.
-func reduceSPrime(ctx context.Context, eng *mapreduce.Engine, reduce mapreduce.Reducer[State], mapped [2]*mapreduce.Dataset[State]) ([2]State, error) {
+// reduceSPrime computes R(M(S')) of each half in one fused map-and-reduce
+// pass over its records, returning the per-half partial state or nil when
+// the half is empty. Each call re-reads the records, so the scratch-recompute
+// ablation re-executes the map as lineage recomputation would.
+func reduceSPrime[T any](ctx context.Context, q Query[T], sPrime [2]*mapreduce.Dataset[T]) ([2]State, error) {
 	var out [2]State
+	first, step := q.fold()
 	for h := 0; h < 2; h++ {
-		if mapped[h] == nil {
+		if sPrime[h] == nil {
 			continue
 		}
-		state, err := mapreduce.ReduceCtx(ctx, mapped[h], reduce)
+		state, err := mapreduce.ReduceCtx(ctx, mapreduce.MapFold(sPrime[h], first, step), q.reducer())
 		if err != nil {
 			return out, err
 		}
@@ -479,9 +481,9 @@ func reduceSPrime(ctx context.Context, eng *mapreduce.Engine, reduce mapreduce.R
 // removalFromScratch recomputes f's state on x - samples[i] with no reuse:
 // it re-reduces the full remaining datasets and every other sample — the
 // per-neighbour linear cost UPA eliminates (ablation for §VI-E).
-func removalFromScratch[T any](ctx context.Context, eng *mapreduce.Engine, q Query[T], mapped [2]*mapreduce.Dataset[State], ms []State, i int) (State, bool, error) {
+func removalFromScratch[T any](ctx context.Context, eng *mapreduce.Engine, q Query[T], sPrime [2]*mapreduce.Dataset[T], ms []State, i int) (State, bool, error) {
 	reduce := q.reducer()
-	rsPrimeHalf, err := reduceSPrime(ctx, eng, reduce, mapped)
+	rsPrimeHalf, err := reduceSPrime(ctx, q, sPrime)
 	if err != nil {
 		return nil, false, err
 	}

@@ -771,7 +771,7 @@ func TestSpansIndependentOfWorkerCount(t *testing.T) {
 				t.Errorf("%s, %d workers: ClampedCoords = %d, want %d", tc.q.Name, workers, res.ClampedCoords, ref.ClampedCoords)
 			}
 			// The engine jobs the stages start still split their input
-			// into eng.Workers() partitions (mapThrough, mapSPrime), so
+			// into eng.Workers() partitions (mapThrough, splitSPrime), so
 			// their task counts follow the worker count; every other
 			// engine counter must not.
 			got, want := res.EngineDelta, ref.EngineDelta

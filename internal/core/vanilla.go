@@ -25,7 +25,8 @@ func RunVanilla[T any](eng *mapreduce.Engine, q Query[T], data []T) ([]float64, 
 	if err != nil {
 		return nil, err
 	}
-	state, err := mapreduce.Reduce(mapreduce.Map(ds, q.Map), q.reducer())
+	first, step := q.fold()
+	state, err := mapreduce.Reduce(mapreduce.MapFold(ds, first, step), q.reducer())
 	if err != nil {
 		return nil, err
 	}

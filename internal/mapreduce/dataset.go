@@ -19,6 +19,11 @@ type Dataset[T any] struct {
 	numParts int
 	name     string
 
+	// runs, when non-nil, visits partition p as in-place runs of a
+	// caller's slice (FromSliceExcept): MapFold folds them without
+	// building the partition.
+	runs func(p int, visit func([]T))
+
 	// compute produces partition p from lineage under the action's context.
 	// It must be pure: the scheduler may invoke it again if a task attempt
 	// fails, and cancelling ctx must only abort the computation, never leave
@@ -57,11 +62,13 @@ func FromSlice[T any](eng *Engine, data []T, numParts int) (*Dataset[T], error) 
 // of the compacted slice, in the same order, and the dataset carries the
 // same "source" lineage name. Unlike FromSlice it neither copies nor spills,
 // and the view is not admitted to the engine's memory budget because the
-// caller's slice is already resident. A partition that holds no skipped
-// position is data's own subslice, capacity-clipped so an append cannot
-// reach past it; only a partition a skip cuts through is compacted into a
-// fresh slice. The caller must not mutate data or skip while the dataset is
-// in use, and every operator treats partitions as read-only.
+// caller's slice is already resident. A partition is the in-place runs of
+// data between skip positions: one run is data's own subslice,
+// capacity-clipped so an append cannot reach past it, and only a partition
+// a skip cuts through is concatenated into a fresh slice. MapFold folds
+// the runs where they lie and never builds that slice. The caller
+// must not mutate data or skip while the dataset is in use, and every
+// operator treats partitions as read-only.
 func FromSliceExcept[T any](eng *Engine, data []T, skip []int, numParts int) (*Dataset[T], error) {
 	if numParts < 1 {
 		return nil, fmt.Errorf("mapreduce: numParts must be >= 1, got %d", numParts)
@@ -72,30 +79,41 @@ func FromSliceExcept[T any](eng *Engine, data []T, skip []int, numParts int) (*D
 		}
 	}
 	size := len(data) - len(skip)
+	runs := func(p int, visit func([]T)) {
+		lo, hi := sliceBounds(size, numParts, p)
+		// Compacted position c sits at data index c+k, where k counts the
+		// skipped positions before it: the first k with skip[k]-k > c,
+		// found by binary search since skip[k]-k is non-decreasing.
+		k := sort.Search(len(skip), func(k int) bool { return skip[k]-k > lo })
+		for i, left := lo+k, hi-lo; left > 0; k++ {
+			end := len(data)
+			if k < len(skip) {
+				end = skip[k]
+			}
+			end = min(end, i+left)
+			if end > i {
+				visit(data[i:end:end])
+				left -= end - i
+			}
+			i = end + 1
+		}
+	}
 	return &Dataset[T]{
 		eng:      eng,
 		numParts: numParts,
 		name:     "source",
+		runs:     runs,
 		compute: func(_ context.Context, p int) ([]T, error) {
-			lo, hi := sliceBounds(size, numParts, p)
-			// Compacted position c sits at data index c+k, where k counts
-			// the skipped positions before it: the first k with
-			// skip[k]-k > c, found by binary search since skip[k]-k is
-			// non-decreasing.
-			k := sort.Search(len(skip), func(k int) bool { return skip[k]-k > lo })
-			if k == len(skip) || skip[k]-k >= hi {
-				return data[lo+k : hi+k : hi+k], nil
-			}
-			out := make([]T, 0, hi-lo)
-			for i := lo + k; len(out) < hi-lo; k++ {
-				end := len(data)
-				if k < len(skip) {
-					end = skip[k]
+			// Every run is capacity-clipped, so appending a second run to
+			// the first copies both into a fresh slice.
+			var out []T
+			runs(p, func(run []T) {
+				if out == nil {
+					out = run
+					return
 				}
-				end = min(end, i+hi-lo-len(out))
-				out = append(out, data[i:end]...)
-				i = end + 1
-			}
+				out = append(out, run...)
+			})
 			return out, nil
 		},
 	}, nil

@@ -273,3 +273,59 @@ func aliases(part, data []int) bool {
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
 	return p >= lo && p < lo+uintptr(cap(data))*unsafe.Sizeof(data[0])
 }
+
+// Fold fusion: Reduce(MapFold(d, first, step)) ≡ Reduce(Map(d, m), f) when
+// first is m and step(acc, x) is f(acc, m(x)), over skip views (folded run
+// by run in place) and FromSlice sources (folded from their partitions),
+// with the same lineage name and the same mapped-record, reduce-op and task
+// counters. String concatenation is associative but not commutative, so a
+// fold that visits records or partitions out of order shows.
+func TestMapFoldLaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := func(x int) string { return string(rune('a' + x%26)) }
+	f := func(a, b string) string { return a + b }
+	step := func(acc string, x int) string { return acc + m(x) }
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(120)
+		data := make([]int, n)
+		var skip, compacted []int
+		for i := range data {
+			data[i] = rng.Intn(1000)
+			if rng.Intn(4) == 0 {
+				skip = append(skip, i)
+			} else {
+				compacted = append(compacted, data[i])
+			}
+		}
+		parts := rng.Intn(8) + 1
+		sources := []func(eng *Engine) (*Dataset[int], error){
+			func(eng *Engine) (*Dataset[int], error) { return FromSliceExcept(eng, data, skip, parts) },
+			func(eng *Engine) (*Dataset[int], error) { return FromSlice(eng, compacted, parts) },
+		}
+		for s, source := range sources {
+			composedEng, fusedEng := NewEngine(), NewEngine()
+			composedDS, err := source(composedEng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fusedDS, err := source(fusedEng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapped, folded := Map(composedDS, m), MapFold(fusedDS, m, step)
+			if mapped.Name() != folded.Name() {
+				t.Fatalf("MapFold is named %q, Map %q", folded.Name(), mapped.Name())
+			}
+			want, wantErr := Reduce(mapped, f)
+			got, gotErr := Reduce(folded, f)
+			if got != want || (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("source %d n=%d skip=%d parts=%d: fused %q (%v), composed %q (%v)",
+					s, n, len(skip), parts, got, gotErr, want, wantErr)
+			}
+			w, g := composedEng.Metrics(), fusedEng.Metrics()
+			if w.RecordsMapped != g.RecordsMapped || w.ReduceOps != g.ReduceOps || w.TasksRun != g.TasksRun {
+				t.Fatalf("source %d n=%d parts=%d: fused counters %+v, composed %+v", s, n, parts, g, w)
+			}
+		}
+	}
+}

@@ -25,6 +25,56 @@ func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 	})
 }
 
+// MapFold is Map(d, m) with each partition folded to one record, the
+// per-partition half of ReduceCtx(ctx, Map(d, m), f) done in the same pass
+// as the map: first(x) starts a partition's accumulator from its first
+// record, and step(acc, x) folds each later record into it and returns the
+// accumulator, which step may update in place because first's value is the
+// partition's own. Partition p is empty when d's is, else the one folded
+// value; a reduce over the result combines them in partition order.
+//
+// Neither the mapped partition nor, for a FromSliceExcept source, the
+// compacted one is built: a skip view is folded run by run where it lies.
+// The child carries Map's lineage name and charges Map's RecordsMapped
+// and the fold's ReduceOps, so ReduceCtx(ctx, MapFold(d, first, step), f)
+// runs the tasks, chaos decisions and counters of ReduceCtx(ctx, Map(d,
+// m), f), and returns its value, whenever first(x) equals m(x) and
+// step(acc, x) equals f(acc, m(x)).
+func MapFold[T, U any](d *Dataset[T], first func(T) U, step func(U, T) U) *Dataset[U] {
+	return derived[T, U](d, "map", d.numParts, func(ctx context.Context, p int) ([]U, error) {
+		var acc U
+		records := 0
+		fold := func(run []T) {
+			if len(run) == 0 {
+				return
+			}
+			if records == 0 {
+				acc, run = first(run[0]), run[1:]
+				records = 1
+			}
+			for _, x := range run {
+				acc = step(acc, x)
+			}
+			records += len(run)
+		}
+		if d.runs != nil {
+			d.runs(p, fold)
+		} else {
+			in, err := d.partition(ctx, p)
+			if err != nil {
+				return nil, err
+			}
+			fold(in)
+		}
+		d.eng.metrics.RecordsMapped.Add(int64(records))
+		if records == 0 {
+			return nil, nil
+		}
+		d.eng.metrics.ReduceOps.Add(int64(records - 1))
+		return []U{acc}, nil
+	})
+}
+
 // FlatMap applies f to every record and concatenates the results.
 func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
 	return derived[T, U](d, "flatMap", d.numParts, func(ctx context.Context, p int) ([]U, error) {

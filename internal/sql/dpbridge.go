@@ -14,7 +14,8 @@ import (
 // in a single engine execution by threading a hidden row-index column
 // through the Filter/Join tree and counting the surviving tuples per index.
 // The query's Mapper is the identity on that number, so M(x) is the record
-// itself: no tuple is carried and no lookup table is broadcast. The returned
+// itself: no tuple is carried and no lookup table is broadcast, and its
+// MapInto adds the number into an accumulator in place. The returned
 // slice is freshly allocated and owned by the caller.
 //
 // Together with core.Run this turns any supported SQL count into an
@@ -87,6 +88,9 @@ func compileDPCount(eng *mapreduce.Engine, plan Plan, protectedTable string, in 
 		StateDim:  1,
 		OutputDim: 1,
 		Map:       func(v int64) core.State { return core.State{float64(v)} },
+		// The fold of the remaining influences adds each one in place,
+		// bit-equal to VectorAdd(acc, Map(v)), allocating nothing per row.
+		MapInto: func(acc core.State, v int64) { acc[0] += float64(v) },
 	}
 	return q, influence, nil
 }
