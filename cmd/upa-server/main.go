@@ -399,7 +399,6 @@ type jobStage struct {
 	ShuffleBytes    int64    `json:"shuffleBytes"`
 	ReduceOps       int64    `json:"reduceOps"`
 	CacheHits       int64    `json:"cacheHits"`
-	RecordsCombined int64    `json:"recordsCombined"`
 	SimUS           float64  `json:"simUs"`
 	Critical        bool     `json:"critical"`
 }
@@ -457,7 +456,6 @@ func (s *server) recordJob(res *core.Result) {
 			ShuffleBytes:    span.ShuffleBytes,
 			ReduceOps:       span.ReduceOps,
 			CacheHits:       span.CacheHits,
-			RecordsCombined: span.RecordsCombined,
 			SimUS:           micros(plan.Stages[i].Cost.Total()),
 			Critical:        critical[span.Stage],
 		})

@@ -29,19 +29,12 @@ var Analyzer = &analysis.Analyzer{
 // method-style (d.Collect()) and function-style (mapreduce.ReduceByKey,
 // core.Run) call sites are covered.
 var ctxVariants = map[string]string{
-	"Collect":           "CollectCtx",
-	"CollectPartitions": "CollectPartitionsCtx",
-	"Count":             "CountCtx",
-	"Reduce":            "ReduceCtx",
-	"ReduceByPartition": "ReduceByPartitionCtx",
-	"Aggregate":         "AggregateCtx",
-	"ReduceByKey":       "ReduceByKeyCtx",
-	"GroupByKey":        "GroupByKeyCtx",
-	"CombineByKey":      "CombineByKeyCtx",
-	"Join":              "JoinCtx",
-	"CoGroup":           "CoGroupCtx",
-	"Top":               "TopCtx",
-	"Run":               "RunCtx",
+	"Collect":     "CollectCtx",
+	"Count":       "CountCtx",
+	"Reduce":      "ReduceCtx",
+	"ReduceByKey": "ReduceByKeyCtx",
+	"Join":        "JoinCtx",
+	"Run":         "RunCtx",
 }
 
 func run(pass *analysis.Pass) error {

@@ -32,12 +32,8 @@ var Analyzer = &analysis.Analyzer{
 var reducerSinks = map[string]bool{
 	"Reduce": true, "ReduceCtx": true, "MapFold": true,
 	"ReduceByKey": true, "ReduceByKeyCtx": true,
-	"ReduceByPartition": true, "ReduceByPartitionCtx": true,
 	"ReduceSlice": true, "PrefixSuffix": true, "Complement": true, "CombineOpt": true,
 	"ReduceDP": true, "ReduceByKeyDP": true,
-	"CombineByKey": true, "CombineByKeyCtx": true,
-	"Aggregate": true, "AggregateCtx": true,
-	"CoGroup": true, "CoGroupCtx": true,
 }
 
 // nondeterministicPkgFuncs maps package import paths to the member

@@ -15,16 +15,11 @@ type Pair struct {
 }
 
 // The sink functions only need the right names; bodies are irrelevant.
-func ReduceByKey(d []Pair, f func(int, int) int) []Pair { return d }
-func Reduce(d []int, f func(int, int) int) int          { return 0 }
-func Aggregate(d []int, zero int, seq func(int, int) int, comb func(int, int) int) int {
-	return 0
-}
-func CombineByKey(d []Pair, create func(int) int, mergeValue func(int, int) int, mergeCombiners func(int, int) int) []Pair {
-	return d
-}
-func ReduceSlice(xs []int, f func(int, int) int) (int, bool)     { return 0, false }
-func PrefixSuffix(xs []int, f func(int, int) int) ([]int, []int) { return nil, nil }
+func ReduceByKey(d []Pair, f func(int, int) int) []Pair                   { return d }
+func Reduce(d []int, f func(int, int) int) int                            { return 0 }
+func MapFold(d []int, first func(int) int, step func(int, int) int) []int { return d }
+func ReduceSlice(xs []int, f func(int, int) int) (int, bool)              { return 0, false }
+func PrefixSuffix(xs []int, f func(int, int) int) ([]int, []int)          { return nil, nil }
 func Complement(pre, suf []int, lo, hi int, f func(int, int) int) (int, bool) {
 	return 0, false
 }
@@ -60,11 +55,11 @@ func capturedMutation(d []Pair, xs []int) {
 		sums = append(sums, a) // want `mutates captured variable "sums"`
 		return a + b
 	})
-	Aggregate(xs, 0,
-		func(acc, v int) int { return acc + v },
-		func(a, b int) int {
-			globalCounter = a // want `mutates captured variable "globalCounter"`
-			return a + b
+	MapFold(xs,
+		func(v int) int { return v },
+		func(acc, v int) int {
+			globalCounter = acc // want `mutates captured variable "globalCounter"`
+			return acc + v
 		})
 }
 

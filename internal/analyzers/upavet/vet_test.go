@@ -53,7 +53,6 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 		// Public convenience wrappers minting a root context.
 		{filepath.Join("internal", "mapreduce", "dataset.go"), "ctxpropagation"},
 		{filepath.Join("internal", "mapreduce", "reduce.go"), "ctxpropagation"},
-		{filepath.Join("internal", "mapreduce", "sort.go"), "ctxpropagation"},
 		{filepath.Join("internal", "mapreduce", "shuffle.go"), "ctxpropagation"},
 		{filepath.Join("internal", "core", "run.go"), "ctxpropagation"},
 		// The jobgraph's default wall clock behind WithClock.

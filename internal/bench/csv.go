@@ -87,13 +87,13 @@ func WriteFig4aCSV(w io.Writer, rows []ScaleRow) error {
 // WriteStagesCSV writes the per-stage release breakdown.
 func WriteStagesCSV(w io.Writer, rows []StageRow) error {
 	header := []string{"query", "stage", "deps", "measured_us", "records", "shuffled_records",
-		"shuffle_bytes", "reduce_ops", "cache_hits", "records_combined", "attempts",
+		"shuffle_bytes", "reduce_ops", "cache_hits", "attempts",
 		"task_faults", "retries", "sim_us", "critical"}
 	return writeCSV(w, header, len(rows), func(i int) []string {
 		r := rows[i]
 		return []string{r.Query, r.Stage, strings.Join(r.Deps, ";"), dtoa(r.Measured),
 			itoa64(r.Records), itoa64(r.ShuffledRecords), itoa64(r.ShuffleBytes),
-			itoa64(r.ReduceOps), itoa64(r.CacheHits), itoa64(r.RecordsCombined),
+			itoa64(r.ReduceOps), itoa64(r.CacheHits),
 			itoa(r.Attempts), itoa64(r.TaskFaults), itoa64(r.Retries),
 			dtoa(r.SimCost), strconv.FormatBool(r.Critical)}
 	})

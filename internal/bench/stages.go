@@ -25,9 +25,8 @@ type StageRow struct {
 	Measured time.Duration
 	// Counters the stage reported into its span.
 	Records, ShuffledRecords, ShuffleBytes, ReduceOps, CacheHits int64
-	// RecordsCombined counts records a map-side combine kept off the wire.
-	RecordsCombined int64
-	Attempts        int
+	// Attempts counts executions of the stage's task.
+	Attempts int
 	// TaskFaults and Retries are the stage's fault-recovery counters: injected
 	// faults absorbed and attempts re-run under the retry policy.
 	TaskFaults, Retries int64
@@ -91,7 +90,6 @@ func StageBreakdown(cfg Config, model cluster.Model) ([]StageRow, []PlanRow, err
 				ShuffleBytes:    s.ShuffleBytes,
 				ReduceOps:       s.ReduceOps,
 				CacheHits:       s.CacheHits,
-				RecordsCombined: s.RecordsCombined,
 				Attempts:        s.Attempts,
 				TaskFaults:      s.TaskFaults,
 				Retries:         s.Retries,

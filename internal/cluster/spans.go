@@ -17,11 +17,7 @@ func (m Model) PriceSpan(s jobgraph.Span) (Cost, error) {
 		return Cost{}, err
 	}
 	cores := float64(m.Nodes * m.CoresPerNode)
-	// Map-side combining trades network for local CPU: the combine fold
-	// touches every pre-combine record on the mappers, so those records are
-	// charged as local record operations while only the post-combine volume
-	// pays network below (spans report the shrunken ShuffledRecords).
-	recordOps := float64(s.Records + s.ReduceOps + s.RecordsPreCombine)
+	recordOps := float64(s.Records + s.ReduceOps)
 	cpu := time.Duration(recordOps * float64(m.RecordCPU) / cores)
 
 	// Spans carry the actual shuffled byte volume; fall back to the model's

@@ -73,31 +73,6 @@ func TestPriceSpanChargesRetries(t *testing.T) {
 	}
 }
 
-func TestPriceSpanChargesCombineCPU(t *testing.T) {
-	m := testModel()
-	// A combining stage pays CPU for every pre-combine record it folded on
-	// the mappers: 10000 records at 100ns over 10 cores = 100µs on top of
-	// the plain span's cost.
-	plain, err := m.PriceSpan(jobgraph.Span{Stage: "s", Records: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	combining, err := m.PriceSpan(jobgraph.Span{
-		Stage: "s", Records: 5000,
-		RecordsPreCombine: 10000, RecordsPostCombine: 2000, RecordsCombined: 8000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := combining.CPU - plain.CPU; got != 100*time.Microsecond {
-		t.Errorf("combine CPU surcharge = %v, want 100µs", got)
-	}
-	if combining.Network != plain.Network {
-		t.Errorf("combine changed network cost: %v vs %v (only ShuffledRecords pays network)",
-			combining.Network, plain.Network)
-	}
-}
-
 func TestPriceSpanFallsBackToRecordBytes(t *testing.T) {
 	m := testModel()
 	c, err := m.PriceSpan(jobgraph.Span{Stage: "s", ShuffledRecords: 1_000_000})

@@ -190,10 +190,12 @@ type wideRecord struct {
 	Vals [15]float64
 }
 
-// TestRunAllocatesLessThanTwoCopies pins that partition-sample reads S'
-// from the input in place: a release over 100 000 wide records allocates
-// less than twice the input's bytes in total. Copying S' on the driver, then
-// again into the engine, allocated about seven times the input.
+// TestRunAllocatesLessThanTwoCopies pins that a release reads S' from the
+// input in place: a release over 100 000 wide records allocates less than a
+// quarter of the input's bytes in total, so even one copy of S' fails it.
+// Copying S' on the driver, then again into the engine, allocated about
+// seven times the input; folding S' where it lies brought a release to
+// about a tenth.
 func TestRunAllocatesLessThanTwoCopies(t *testing.T) {
 	data := make([]wideRecord, 100_000)
 	for i := range data {
@@ -214,10 +216,11 @@ func TestRunAllocatesLessThanTwoCopies(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
-	limit := 2 * uint64(len(data)) * uint64(unsafe.Sizeof(wideRecord{}))
-	t.Logf("release allocated %d bytes for a %d-byte input", allocated, limit/2)
+	input := uint64(len(data)) * uint64(unsafe.Sizeof(wideRecord{}))
+	limit := input / 4
+	t.Logf("release allocated %d bytes for a %d-byte input", allocated, input)
 	if allocated >= limit {
-		t.Fatalf("release allocated %d bytes, want < %d (twice the %d-byte input)", allocated, limit, limit/2)
+		t.Fatalf("release allocated %d bytes, want < %d (a quarter of the %d-byte input)", allocated, limit, input)
 	}
 }
 

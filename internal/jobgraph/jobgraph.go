@@ -55,15 +55,6 @@ type Span struct {
 	ShuffleBytes    int64 `json:"shuffleBytes"`
 	ReduceOps       int64 `json:"reduceOps"`
 	CacheHits       int64 `json:"cacheHits"`
-	// RecordsPreCombine and RecordsPostCombine bracket the stage's map-side
-	// combines: records entering the combiners versus combined records that
-	// actually shuffled. RecordsCombined is their difference — records the
-	// combine eliminated before the wire. Stages reporting these should not
-	// double-report the combine folds through AddReduceOps; the cost model
-	// charges the combine CPU from RecordsPreCombine.
-	RecordsPreCombine  int64 `json:"recordsPreCombine"`
-	RecordsPostCombine int64 `json:"recordsPostCombine"`
-	RecordsCombined    int64 `json:"recordsCombined"`
 	// Err holds the stage's failure, if any.
 	Err string `json:"error,omitempty"`
 }

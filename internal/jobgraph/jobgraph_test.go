@@ -287,23 +287,3 @@ func TestSpanCounters(t *testing.T) {
 		t.Fatalf("span counters = %+v", s)
 	}
 }
-
-func TestSpanCombineCounters(t *testing.T) {
-	g := New("g").
-		Stage("combine", func(_ context.Context, sc *StageContext) error {
-			sc.AddCombine(100, 20)
-			sc.AddCombine(50, 10)
-			return nil
-		})
-	spans, err := g.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := spans[0]
-	if s.RecordsPreCombine != 150 || s.RecordsPostCombine != 30 {
-		t.Fatalf("combine counters = pre %d, post %d, want 150, 30", s.RecordsPreCombine, s.RecordsPostCombine)
-	}
-	if s.RecordsCombined != 120 {
-		t.Fatalf("RecordsCombined = %d, want pre-post = 120", s.RecordsCombined)
-	}
-}

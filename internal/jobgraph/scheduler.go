@@ -13,13 +13,11 @@ import (
 // safe for concurrent use, so a stage body may report from the goroutines it
 // starts.
 type StageContext struct {
-	records            atomic.Int64
-	shuffledRecords    atomic.Int64
-	shuffleBytes       atomic.Int64
-	reduceOps          atomic.Int64
-	cacheHits          atomic.Int64
-	recordsPreCombine  atomic.Int64
-	recordsPostCombine atomic.Int64
+	records         atomic.Int64
+	shuffledRecords atomic.Int64
+	shuffleBytes    atomic.Int64
+	reduceOps       atomic.Int64
+	cacheHits       atomic.Int64
 }
 
 // AddRecords reports n input records processed by the stage. Span counters
@@ -48,16 +46,6 @@ func (sc *StageContext) AddReduceOps(n int64) { sc.reduceOps.Add(n) }
 //upa:dpsink
 func (sc *StageContext) AddCacheHits(n int64) { sc.cacheHits.Add(n) }
 
-// AddCombine reports one map-side combine pass: pre records entered the
-// combiners and post combined records went on to the shuffle. The eliminated
-// difference lands in the span's RecordsCombined.
-//
-//upa:dpsink
-func (sc *StageContext) AddCombine(pre, post int64) {
-	sc.recordsPreCombine.Add(pre)
-	sc.recordsPostCombine.Add(post)
-}
-
 // snapshot copies the counters into span once the stage has finished, so
 // every attempt's reports are included.
 func (sc *StageContext) snapshot(span *Span) {
@@ -66,9 +54,6 @@ func (sc *StageContext) snapshot(span *Span) {
 	span.ShuffleBytes = sc.shuffleBytes.Load()
 	span.ReduceOps = sc.reduceOps.Load()
 	span.CacheHits = sc.cacheHits.Load()
-	span.RecordsPreCombine = sc.recordsPreCombine.Load()
-	span.RecordsPostCombine = sc.recordsPostCombine.Load()
-	span.RecordsCombined = span.RecordsPreCombine - span.RecordsPostCombine
 }
 
 // Run validates the graph and executes it: every stage starts as soon as all

@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Broadcast is a read-only value shipped once to every worker — the
 // engine's analogue of Spark's broadcast variables, which UPA's operators
@@ -13,8 +10,7 @@ import (
 //
 // The held value must be treated as immutable by all tasks.
 type Broadcast[T any] struct {
-	value   T
-	records int
+	value T
 }
 
 // NewBroadcast registers value with the engine, accounting its shipment to
@@ -26,66 +22,8 @@ func NewBroadcast[T any](eng *Engine, value T, records int) (*Broadcast[T], erro
 	}
 	eng.metrics.BroadcastsSent.Add(1)
 	eng.metrics.BroadcastRecords.Add(int64(records) * int64(eng.Workers()))
-	return &Broadcast[T]{value: value, records: records}, nil
+	return &Broadcast[T]{value: value}, nil
 }
 
 // Value returns the broadcast value.
 func (b *Broadcast[T]) Value() T { return b.value }
-
-// Records reports the value's cardinality as registered.
-func (b *Broadcast[T]) Records() int { return b.records }
-
-// BroadcastMap builds a broadcast lookup table from key-value pairs.
-func BroadcastMap[K comparable, V any](eng *Engine, pairs []Pair[K, V]) (*Broadcast[map[K]V], error) {
-	m := make(map[K]V, len(pairs))
-	for _, p := range pairs {
-		m[p.Key] = p.Value
-	}
-	return NewBroadcast(eng, m, len(m))
-}
-
-// Accumulator is a write-only, commutatively merged counter usable from
-// concurrent tasks — the analogue of Spark accumulators. Tasks Add;
-// the driver reads Value after the job completes.
-type Accumulator struct {
-	name string
-	n    atomic.Int64
-}
-
-// NewAccumulator registers a named accumulator with the engine.
-func NewAccumulator(eng *Engine, name string) (*Accumulator, error) {
-	if name == "" {
-		return nil, fmt.Errorf("mapreduce: accumulator needs a name")
-	}
-	acc := &Accumulator{name: name}
-	eng.accMu.Lock()
-	defer eng.accMu.Unlock()
-	if _, exists := eng.accumulators[name]; exists {
-		return nil, fmt.Errorf("mapreduce: accumulator %q already registered", name)
-	}
-	if eng.accumulators == nil {
-		eng.accumulators = make(map[string]*Accumulator)
-	}
-	eng.accumulators[name] = acc
-	return acc, nil
-}
-
-// Add contributes delta; safe from any task.
-func (a *Accumulator) Add(delta int64) { a.n.Add(delta) }
-
-// Value reads the current total.
-func (a *Accumulator) Value() int64 { return a.n.Load() }
-
-// Name returns the accumulator's registered name.
-func (a *Accumulator) Name() string { return a.name }
-
-// Accumulators snapshots every registered accumulator by name.
-func (e *Engine) Accumulators() map[string]int64 {
-	e.accMu.Lock()
-	defer e.accMu.Unlock()
-	out := make(map[string]int64, len(e.accumulators))
-	for name, acc := range e.accumulators {
-		out[name] = acc.Value()
-	}
-	return out
-}

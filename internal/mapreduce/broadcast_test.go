@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestBroadcast(t *testing.T) {
 	eng := NewEngine(WithWorkers(4))
@@ -11,8 +8,8 @@ func TestBroadcast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Value()["a"] != 1 || b.Records() != 2 {
-		t.Fatalf("broadcast payload wrong: %v / %d", b.Value(), b.Records())
+	if b.Value()["a"] != 1 || b.Value()["b"] != 2 {
+		t.Fatalf("broadcast payload wrong: %v", b.Value())
 	}
 	m := eng.Metrics()
 	if m.BroadcastsSent != 1 {
@@ -26,25 +23,9 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestBroadcastMap(t *testing.T) {
-	eng := NewEngine(WithWorkers(2))
-	pairs := []Pair[int, string]{{Key: 1, Value: "x"}, {Key: 2, Value: "y"}, {Key: 1, Value: "z"}}
-	b, err := BroadcastMap(eng, pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Last-wins for duplicate keys; two distinct keys.
-	if len(b.Value()) != 2 || b.Value()[1] != "z" {
-		t.Fatalf("broadcast map = %v", b.Value())
-	}
-	if b.Records() != 2 {
-		t.Errorf("Records = %d, want 2", b.Records())
-	}
-}
-
 func TestBroadcastUsedInsideTasks(t *testing.T) {
 	eng := NewEngine()
-	lookup, err := BroadcastMap(eng, []Pair[int, int]{{Key: 0, Value: 100}, {Key: 1, Value: 200}})
+	lookup, err := NewBroadcast(eng, map[int]int{0: 100, 1: 200}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,72 +40,5 @@ func TestBroadcastUsedInsideTasks(t *testing.T) {
 	}
 	if sum != 25*100+25*200 {
 		t.Fatalf("sum through broadcast = %d", sum)
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	eng := NewEngine()
-	acc, err := NewAccumulator(eng, "filtered-rows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := FromSlice(eng, intsUpTo(100), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept := Filter(d, func(x int) bool {
-		if x%3 == 0 {
-			acc.Add(1)
-			return false
-		}
-		return true
-	})
-	n, err := kept.Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 66 {
-		t.Fatalf("kept %d rows, want 66", n)
-	}
-	if acc.Value() != 34 {
-		t.Fatalf("accumulator = %d, want 34", acc.Value())
-	}
-	if got := eng.Accumulators()["filtered-rows"]; got != 34 {
-		t.Fatalf("registry value = %d, want 34", got)
-	}
-}
-
-func TestAccumulatorValidation(t *testing.T) {
-	eng := NewEngine()
-	if _, err := NewAccumulator(eng, ""); err == nil {
-		t.Error("empty name accepted")
-	}
-	if _, err := NewAccumulator(eng, "dup"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewAccumulator(eng, "dup"); err == nil {
-		t.Error("duplicate name accepted")
-	}
-}
-
-func TestAccumulatorConcurrent(t *testing.T) {
-	eng := NewEngine()
-	acc, err := NewAccumulator(eng, "hits")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				acc.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if acc.Value() != 8000 {
-		t.Fatalf("accumulator = %d, want 8000", acc.Value())
 	}
 }

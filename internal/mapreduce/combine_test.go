@@ -24,7 +24,7 @@ func TestCombineByKeyAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined := CombineByKey(ds,
+	combined := combineByKey(nil, ds,
 		func(v int) sumCount { return sumCount{sum: v, n: 1} },
 		func(c sumCount, v int) sumCount { return sumCount{sum: c.sum + v, n: c.n + 1} },
 		func(a, b sumCount) sumCount { return sumCount{sum: a.sum + b.sum, n: a.n + b.n} },
@@ -111,33 +111,6 @@ func TestMapSideCombineShrinksShuffle(t *testing.T) {
 	}
 }
 
-// TestDistinctCombinesBeforeShuffle checks Distinct rides the map-side
-// combine: duplicated values deduplicate locally, so the shuffle carries at
-// most one record per (partition, value).
-func TestDistinctCombinesBeforeShuffle(t *testing.T) {
-	eng := NewEngine(WithWorkers(4))
-	data := make([]int, 400)
-	for i := range data {
-		data[i] = i % 10
-	}
-	ds, err := FromSlice(eng, data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := eng.Metrics()
-	out, err := Distinct(ds).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 10 {
-		t.Fatalf("Distinct kept %d values, want 10", len(out))
-	}
-	delta := eng.Metrics().Sub(before)
-	if want := int64(4 * 10); delta.RecordsShuffled != want {
-		t.Errorf("RecordsShuffled = %d, want %d", delta.RecordsShuffled, want)
-	}
-}
-
 // TestCombineByKeyMatchesReduceByKeyOrder checks the combine path and the
 // reducer path agree record for record, including output order, across
 // partition counts — the output-invariance the commutative/associative
@@ -158,7 +131,7 @@ func TestCombineByKeyMatchesReduceByKeyOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		combined, err := CombineByKey(ds,
+		combined, err := combineByKey(nil, ds,
 			func(v int) int { return v }, sum, sum).Collect()
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +141,7 @@ func TestCombineByKeyMatchesReduceByKeyOrder(t *testing.T) {
 		}
 		for i := range reduced {
 			if reduced[i] != combined[i] {
-				t.Errorf("parts=%d: record %d: ReduceByKey %+v, CombineByKey %+v",
+				t.Errorf("parts=%d: record %d: ReduceByKey %+v, combineByKey %+v",
 					parts, i, reduced[i], combined[i])
 			}
 		}
@@ -193,22 +166,12 @@ func TestReduceByKeyCtxBoundCancellation(t *testing.T) {
 	if _, err := ReduceByKeyCtx(cancelled, ds, func(a, b int) int { return a + b }).Collect(); !errors.Is(err, context.Canceled) {
 		t.Errorf("ReduceByKeyCtx(cancelled).Collect = %v, want context.Canceled", err)
 	}
-	if _, err := GroupByKeyCtx(cancelled, ds).Collect(); !errors.Is(err, context.Canceled) {
-		t.Errorf("GroupByKeyCtx(cancelled).Collect = %v, want context.Canceled", err)
-	}
 	joined, err := JoinCtx(cancelled, ds, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := joined.Collect(); !errors.Is(err, context.Canceled) {
 		t.Errorf("JoinCtx(cancelled).Collect = %v, want context.Canceled", err)
-	}
-	cogrouped, err := CoGroupCtx(cancelled, ds, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cogrouped.Collect(); !errors.Is(err, context.Canceled) {
-		t.Errorf("CoGroupCtx(cancelled).Collect = %v, want context.Canceled", err)
 	}
 
 	live := ReduceByKeyCtx(context.Background(), ds, func(a, b int) int { return a + b })
@@ -333,26 +296,6 @@ func TestJoinMixedPartitionCounts(t *testing.T) {
 	for _, p := range out {
 		if p.Value.Right%8 != p.Key {
 			t.Errorf("mismatched join record: key %d with right value %d", p.Key, p.Value.Right)
-		}
-	}
-
-	cg, err := CoGroup(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cg.NumPartitions(); got != 6 {
-		t.Errorf("CoGroup partitions = %d, want 6", got)
-	}
-	groups, err := cg.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 8 {
-		t.Fatalf("cogroup produced %d keys, want 8", len(groups))
-	}
-	for _, g := range groups {
-		if len(g.Value.Left) != 5 || len(g.Value.Right) != 2 {
-			t.Errorf("key %d grouped %dx%d, want 5x2", g.Key, len(g.Value.Left), len(g.Value.Right))
 		}
 	}
 }

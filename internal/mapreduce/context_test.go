@@ -69,11 +69,6 @@ func TestActionContextVariants(t *testing.T) {
 	if _, err := ReduceCtx(cancelled, ds, func(a, b int) int { return a + b }); !errors.Is(err, context.Canceled) {
 		t.Errorf("ReduceCtx = %v, want context.Canceled", err)
 	}
-	if _, err := AggregateCtx(cancelled, ds, 0,
-		func(a, v int) int { return a + v },
-		func(a, b int) int { return a + b }); !errors.Is(err, context.Canceled) {
-		t.Errorf("AggregateCtx = %v, want context.Canceled", err)
-	}
 
 	// A live context leaves the actions untouched.
 	sum, err := ReduceCtx(context.Background(), ds, func(a, b int) int { return a + b })

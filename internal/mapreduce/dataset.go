@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Dataset is a partitioned, lazily evaluated, immutable collection of T —
@@ -29,11 +28,6 @@ type Dataset[T any] struct {
 	// fails, and cancelling ctx must only abort the computation, never leave
 	// partial state behind.
 	compute func(ctx context.Context, p int) ([]T, error)
-
-	// persistence
-	persistMu sync.Mutex
-	persisted *partStore[T] // nil until Persist()+materialization
-	persist   bool
 }
 
 // FromSlice creates a dataset from data split into numParts contiguous
@@ -173,83 +167,16 @@ func (d *Dataset[T]) NumPartitions() int { return d.numParts }
 // Name returns the dataset's lineage label (for debugging and cache keys).
 func (d *Dataset[T]) Name() string { return d.name }
 
-// Persist marks the dataset for in-memory materialization: the first action
-// computes and retains every partition; later actions reuse them. It returns
-// the receiver for chaining.
-func (d *Dataset[T]) Persist() *Dataset[T] {
-	d.persistMu.Lock()
-	defer d.persistMu.Unlock()
-	d.persist = true
-	return d
-}
-
-// partition returns partition p, using persisted data when available.
-// Persisted partitions past the memory budget live in spill files, so a
-// read here may stream from disk rather than return a retained slice.
-func (d *Dataset[T]) partition(ctx context.Context, p int) ([]T, error) {
-	d.persistMu.Lock()
-	if d.persisted != nil {
-		store := d.persisted
-		d.persistMu.Unlock()
-		return store.get(ctx, p)
-	}
-	wantPersist := d.persist
-	d.persistMu.Unlock()
-
-	part, err := d.compute(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	if wantPersist {
-		// Materialize all partitions at once so persisted is complete.
-		// Cheap double-compute of p is acceptable; persistence is rare.
-		if err := d.materialize(ctx); err != nil {
-			return nil, err
-		}
-	}
-	return part, nil
-}
-
-func (d *Dataset[T]) materialize(ctx context.Context) error {
-	d.persistMu.Lock()
-	defer d.persistMu.Unlock()
-	if d.persisted != nil {
-		return nil
-	}
-	parts := make([][]T, d.numParts)
-	for p := 0; p < d.numParts; p++ {
-		part, err := d.compute(ctx, p)
-		if err != nil {
-			return err
-		}
-		parts[p] = part
-	}
-	// The store's recovery hook is the dataset's own compute closure: a
-	// persisted partition whose spill file goes bad is re-derived from
-	// lineage, exactly as if it had never been persisted.
-	store, err := storeParts(d.eng, d.name+":persist", parts, d.compute)
-	if err != nil {
-		return err
-	}
-	d.persisted = store
-	return nil
-}
-
-// CollectPartitions materializes the dataset and returns its partitions. The
-// returned outer slice is fresh; inner slices must be treated as read-only.
-func (d *Dataset[T]) CollectPartitions() ([][]T, error) {
-	//upa:allow(ctxpropagation) public convenience wrapper: callers without a context land here
-	return d.CollectPartitionsCtx(context.Background())
-}
-
-// CollectPartitionsCtx is CollectPartitions under a context: cancelling ctx
-// stops the scheduler from claiming further partition tasks, and the context
-// reaches every lineage stage — including shuffles — so a cancelled job
-// aborts mid-shuffle instead of running to completion.
+// CollectPartitionsCtx materializes the dataset and returns its
+// partitions. The returned outer slice is fresh; inner slices must be
+// treated as read-only. Cancelling ctx stops the scheduler from claiming
+// further partition tasks, and the context reaches every lineage stage —
+// including shuffles — so a cancelled job aborts mid-shuffle instead of
+// running to completion.
 func (d *Dataset[T]) CollectPartitionsCtx(ctx context.Context) ([][]T, error) {
 	parts := make([][]T, d.numParts)
 	err := d.eng.runTasks(ctx, d.name+":collect", d.numParts, func(tctx context.Context, p int) error {
-		part, err := d.partition(tctx, p)
+		part, err := d.compute(tctx, p)
 		if err != nil {
 			return err
 		}
@@ -296,7 +223,7 @@ func (d *Dataset[T]) Count() (int, error) {
 func (d *Dataset[T]) CountCtx(ctx context.Context) (int, error) {
 	counts := make([]int, d.numParts)
 	err := d.eng.runTasks(ctx, d.name+":count", d.numParts, func(tctx context.Context, p int) error {
-		part, err := d.partition(tctx, p)
+		part, err := d.compute(tctx, p)
 		if err != nil {
 			return err
 		}

@@ -1,11 +1,10 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
-
-	"upa/internal/stats"
 )
 
 func intsUpTo(n int) []int {
@@ -125,7 +124,7 @@ func TestFromPartitions(t *testing.T) {
 	}
 }
 
-func TestMapFilterFlatMap(t *testing.T) {
+func TestMapFilter(t *testing.T) {
 	eng := NewEngine()
 	d, err := FromSlice(eng, intsUpTo(20), 4)
 	if err != nil {
@@ -133,17 +132,18 @@ func TestMapFilterFlatMap(t *testing.T) {
 	}
 	doubled := Map(d, func(x int) int { return 2 * x })
 	evens := Filter(doubled, func(x int) bool { return x%4 == 0 })
-	expanded := FlatMap(evens, func(x int) []int { return []int{x, x + 1} })
-	got, err := expanded.Collect()
+	got, err := evens.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// doubled: 0..38 even; evens keeps multiples of 4: 0,4,...,36 (10 values)
-	if len(got) != 20 {
-		t.Fatalf("got %d records, want 20", len(got))
+	if len(got) != 10 {
+		t.Fatalf("got %d records, want 10", len(got))
 	}
-	if got[0] != 0 || got[1] != 1 || got[2] != 4 || got[3] != 5 {
-		t.Fatalf("unexpected prefix: %v", got[:4])
+	for i, v := range got {
+		if v != 4*i {
+			t.Fatalf("record %d = %d, want %d", i, v, 4*i)
+		}
 	}
 }
 
@@ -195,8 +195,8 @@ func TestMapPartitionsError(t *testing.T) {
 }
 
 func TestUnionReduceDecomposition(t *testing.T) {
-	// The associativity identity UPA relies on:
-	// Reduce(Union(a, b)) == f(Reduce(a), Reduce(b)).
+	// The associativity identity UPA relies on: reducing the union of two
+	// datasets' partitions equals f(Reduce(a), Reduce(b)).
 	eng := NewEngine()
 	sum := func(a, b int) int { return a + b }
 	f := func(xsRaw, ysRaw []int16) bool {
@@ -219,7 +219,15 @@ func TestUnionReduceDecomposition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		u, err := Union(a, b)
+		pa, err := a.CollectPartitionsCtx(context.Background())
+		if err != nil {
+			return false
+		}
+		pb, err := b.CollectPartitionsCtx(context.Background())
+		if err != nil {
+			return false
+		}
+		u, err := FromPartitions(eng, append(pa, pb...))
 		if err != nil {
 			return false
 		}
@@ -239,20 +247,6 @@ func TestUnionReduceDecomposition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestUnionAcrossEnginesRejected(t *testing.T) {
-	a, err := FromSlice(NewEngine(), []int{1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromSlice(NewEngine(), []int{2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Union(a, b); err == nil {
-		t.Fatal("cross-engine union accepted")
 	}
 }
 
@@ -282,23 +276,6 @@ func TestReduceSkipsEmptyPartitions(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	eng := NewEngine()
-	d, err := FromSlice(eng, intsUpTo(100), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count, err := Aggregate(d, 0,
-		func(acc int, _ int) int { return acc + 1 },
-		func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 100 {
-		t.Fatalf("Aggregate count = %d, want 100", count)
-	}
-}
-
 func TestReduceSlice(t *testing.T) {
 	if _, ok := ReduceSlice(nil, func(a, b int) int { return a + b }); ok {
 		t.Fatal("ReduceSlice of empty slice reported ok")
@@ -306,33 +283,6 @@ func TestReduceSlice(t *testing.T) {
 	got, ok := ReduceSlice([]int{1, 2, 3}, func(a, b int) int { return a + b })
 	if !ok || got != 6 {
 		t.Fatalf("ReduceSlice = %d, %v; want 6, true", got, ok)
-	}
-}
-
-func TestSampleDeterministicAndValid(t *testing.T) {
-	eng := NewEngine()
-	d, err := FromSlice(eng, intsUpTo(1000), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs1, idx1, err := Sample(d, stats.NewRNG(5), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs2, idx2, err := Sample(d, stats.NewRNG(5), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs1) != 50 || len(idx1) != 50 {
-		t.Fatalf("sample size = %d/%d, want 50/50", len(recs1), len(idx1))
-	}
-	for i := range recs1 {
-		if recs1[i] != recs2[i] || idx1[i] != idx2[i] {
-			t.Fatal("sampling with equal seeds diverged")
-		}
-		if recs1[i] != idx1[i] { // record i of source equals its index
-			t.Fatalf("index %d does not address record %d", idx1[i], recs1[i])
-		}
 	}
 }
 
@@ -360,25 +310,5 @@ func TestRepartition(t *testing.T) {
 	}
 	if _, err := Repartition(d, 0); err == nil {
 		t.Fatal("zero partitions accepted")
-	}
-}
-
-func TestPersistComputesOnce(t *testing.T) {
-	eng := NewEngine()
-	d, err := FromSlice(eng, intsUpTo(50), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped := Map(d, func(x int) int { return x * x }).Persist()
-	if _, err := mapped.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	before := eng.Metrics().RecordsMapped
-	if _, err := mapped.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	after := eng.Metrics().RecordsMapped
-	if after != before {
-		t.Fatalf("persisted dataset recomputed: mapped %d extra records", after-before)
 	}
 }

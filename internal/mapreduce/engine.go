@@ -38,10 +38,6 @@ type Engine struct {
 	// out-of-core execution: materializations past the budget live in
 	// deterministic spill files instead of RAM (see spillstore.go).
 	spill *spillStore
-
-	// accMu guards accumulators, the named Accumulator registry.
-	accMu        sync.Mutex
-	accumulators map[string]*Accumulator
 }
 
 // Option configures an Engine.

@@ -127,37 +127,6 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 	}
 }
 
-func TestPersistedDatasetSurvivesFaults(t *testing.T) {
-	inj := chaos.New(chaos.Policy{Seed: 2, TaskFaultRate: 0.3})
-	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 4}), WithChaos(inj))
-	d, err := FromSlice(eng, intsUpTo(200), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	squared := Map(d, func(x int) int { return x * x }).Persist()
-	first, err := squared.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Snapshot().Faults == 0 {
-		t.Fatal("no faults fired during the first collection; test exercised nothing")
-	}
-	// The persisted materialization is complete and reusable after faults.
-	mappedBefore := eng.Metrics().RecordsMapped
-	second, err := squared.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Metrics().RecordsMapped != mappedBefore {
-		t.Error("persisted dataset recomputed after faulty materialization")
-	}
-	for i := range first {
-		if first[i] != second[i] || first[i] != i*i {
-			t.Fatalf("value %d corrupted: %d vs %d", i, first[i], second[i])
-		}
-	}
-}
-
 func TestMetricsSnapshotSub(t *testing.T) {
 	eng := NewEngine()
 	d, err := FromSlice(eng, intsUpTo(10), 2)

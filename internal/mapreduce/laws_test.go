@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -218,11 +219,11 @@ func TestFromSliceExceptLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := view.CollectPartitions()
+			got, err := view.CollectPartitionsCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.CollectPartitions()
+			want, err := ref.CollectPartitionsCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,18 +17,6 @@ func KeyBy[T any, K comparable](d *Dataset[T], key func(T) K) *Dataset[Pair[K, T
 	return Map(d, func(t T) Pair[K, T] { return Pair[K, T]{Key: key(t), Value: t} })
 }
 
-// MapValues transforms pair values, keeping keys (a narrow transformation).
-func MapValues[K comparable, V, W any](d *Dataset[Pair[K, V]], f func(V) W) *Dataset[Pair[K, W]] {
-	return Map(d, func(p Pair[K, V]) Pair[K, W] {
-		return Pair[K, W]{Key: p.Key, Value: f(p.Value)}
-	})
-}
-
-// Keys projects the keys of a pair dataset.
-func Keys[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[K] {
-	return Map(d, func(p Pair[K, V]) K { return p.Key })
-}
-
 // Values projects the values of a pair dataset.
 func Values[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[V] {
 	return Map(d, func(p Pair[K, V]) V { return p.Value })

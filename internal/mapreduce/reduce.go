@@ -24,10 +24,30 @@ func Reduce[T any](d *Dataset[T], f Reducer[T]) (T, error) {
 }
 
 // ReduceCtx is Reduce under a context: cancelling ctx stops the scheduler
-// from claiming further partition tasks.
+// from claiming further partition tasks. Each partition is reduced in its
+// own task (the paper's ReduceByPar helper in Algorithms 1 and 2), then the
+// non-empty partials are combined in partition order.
 func ReduceCtx[T any](ctx context.Context, d *Dataset[T], f Reducer[T]) (T, error) {
-	partials, nonEmpty, err := ReduceByPartitionCtx(ctx, d, f)
+	partials := make([]T, d.numParts)
+	nonEmpty := make([]bool, d.numParts)
 	var zero T
+	err := d.eng.runTasks(ctx, d.name+":reduce", d.numParts, func(tctx context.Context, p int) error {
+		part, err := d.compute(tctx, p)
+		if err != nil {
+			return err
+		}
+		if len(part) == 0 {
+			return nil
+		}
+		acc := part[0]
+		for _, v := range part[1:] {
+			acc = f(acc, v)
+		}
+		d.eng.metrics.ReduceOps.Add(int64(len(part) - 1))
+		partials[p] = acc
+		nonEmpty[p] = true
+		return nil
+	})
 	if err != nil {
 		return zero, err
 	}
@@ -47,78 +67,6 @@ func ReduceCtx[T any](ctx context.Context, d *Dataset[T], f Reducer[T]) (T, erro
 	}
 	if first {
 		return zero, ErrEmptyDataset
-	}
-	return acc, nil
-}
-
-// ReduceByPartition reduces each partition independently (the paper's
-// ReduceByPar helper in Algorithms 1 and 2). It returns one partial per
-// partition plus a mask of which partitions were non-empty.
-func ReduceByPartition[T any](d *Dataset[T], f Reducer[T]) (partials []T, nonEmpty []bool, err error) {
-	//upa:allow(ctxpropagation) public convenience wrapper: callers without a context land here
-	return ReduceByPartitionCtx(context.Background(), d, f)
-}
-
-// ReduceByPartitionCtx is ReduceByPartition under a context.
-func ReduceByPartitionCtx[T any](ctx context.Context, d *Dataset[T], f Reducer[T]) (partials []T, nonEmpty []bool, err error) {
-	partials = make([]T, d.numParts)
-	nonEmpty = make([]bool, d.numParts)
-	err = d.eng.runTasks(ctx, d.name+":reduce", d.numParts, func(tctx context.Context, p int) error {
-		part, err := d.partition(tctx, p)
-		if err != nil {
-			return err
-		}
-		if len(part) == 0 {
-			return nil
-		}
-		acc := part[0]
-		for _, v := range part[1:] {
-			acc = f(acc, v)
-		}
-		d.eng.metrics.ReduceOps.Add(int64(len(part) - 1))
-		partials[p] = acc
-		nonEmpty[p] = true
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return partials, nonEmpty, nil
-}
-
-// Aggregate folds the dataset into a value of a different type: seqOp folds
-// records into a per-partition accumulator starting from zero (zero must be
-// the identity of combOp), and combOp merges the per-partition accumulators.
-// combOp must be commutative and associative.
-func Aggregate[T, U any](d *Dataset[T], zero U, seqOp func(U, T) U, combOp func(U, U) U) (U, error) {
-	//upa:allow(ctxpropagation) public convenience wrapper: callers without a context land here
-	return AggregateCtx(context.Background(), d, zero, seqOp, combOp)
-}
-
-// AggregateCtx is Aggregate under a context.
-func AggregateCtx[T, U any](ctx context.Context, d *Dataset[T], zero U, seqOp func(U, T) U, combOp func(U, U) U) (U, error) {
-	partials := make([]U, d.numParts)
-	err := d.eng.runTasks(ctx, d.name+":aggregate", d.numParts, func(tctx context.Context, p int) error {
-		part, err := d.partition(tctx, p)
-		if err != nil {
-			return err
-		}
-		acc := zero
-		for _, v := range part {
-			acc = seqOp(acc, v)
-		}
-		d.eng.metrics.ReduceOps.Add(int64(len(part)))
-		partials[p] = acc
-		return nil
-	})
-	if err != nil {
-		var z U
-		return z, err
-	}
-	acc := zero
-	for _, p := range partials {
-		acc = combOp(acc, p)
-		d.eng.metrics.ReduceOps.Add(1)
 	}
 	return acc, nil
 }

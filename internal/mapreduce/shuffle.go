@@ -84,7 +84,7 @@ func shuffle[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]], n
 	recompute := func(rctx context.Context, b int) ([]Pair[K, V], error) {
 		var merged []Pair[K, V]
 		for p := 0; p < d.numParts; p++ {
-			part, err := d.partition(rctx, p)
+			part, err := d.compute(rctx, p)
 			if err != nil {
 				return nil, err
 			}
@@ -182,38 +182,13 @@ func joinContexts(bound, call context.Context) (context.Context, context.CancelF
 	return merged, func() { stop(); cancel() }
 }
 
-// CombineByKey is the engine's map-side-combining wide transformation, the
-// analogue of Spark's combineByKey. Per source partition — before any data
-// moves — every record's value is folded into a per-key combiner C (create
-// for the first value of a key, mergeValue for the rest); only the combined
-// pairs are shuffled, and each destination bucket merges the per-partition
-// combiners with mergeCombiners. mergeCombiners must be commutative and
-// associative — exactly the contract UPA and Spark already demand of
-// reducers (§II) — which is what makes the pre-shuffle fold output-invariant:
-// fold(p1 ++ p2) == mergeCombiners(fold(p1), fold(p2)).
-//
-// On skewed keys this shrinks RecordsShuffled from O(records) to
-// O(partitions × distinct keys); the RecordsPreCombine / RecordsPostCombine /
-// RecordsCombinedMapSide counters meter the reduction. Output keys appear in
-// deterministic first-seen order within each partition, identical to the
-// order a combine-less shuffle would produce.
-func CombineByKey[K comparable, V, C any](d *Dataset[Pair[K, V]], create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
-	return combineByKey(nil, d, "combineByKey", create, mergeValue, mergeCombiners)
-}
-
-// CombineByKeyCtx is CombineByKey with a bound context: cancelling ctx
-// aborts the shuffle even when the dataset is later collected without one.
-func CombineByKeyCtx[K comparable, V, C any](ctx context.Context, d *Dataset[Pair[K, V]], create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
-	return combineByKey(ctx, d, "combineByKey", create, mergeValue, mergeCombiners)
-}
-
 // mapSideCombine folds each source partition's records into one combiner per
-// distinct key, in first-seen order — the narrow half of CombineByKey. Every
+// distinct key, in first-seen order — the narrow half of combineByKey. Every
 // mergeValue application counts as one reduce op, so the total operation
 // accounting matches a combine-less reduction exactly.
 func mapSideCombine[K comparable, V, C any](d *Dataset[Pair[K, V]], create func(V) C, mergeValue func(C, V) C) *Dataset[Pair[K, C]] {
 	return derived[Pair[K, V], Pair[K, C]](d, "combine", d.numParts, func(ctx context.Context, p int) ([]Pair[K, C], error) {
-		in, err := d.partition(ctx, p)
+		in, err := d.compute(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -241,13 +216,27 @@ func mapSideCombine[K comparable, V, C any](d *Dataset[Pair[K, V]], create func(
 	})
 }
 
-// combineByKey wires the map-side combine ahead of the shuffle and merges
-// the per-partition combiners per destination bucket.
-func combineByKey[K comparable, V, C any](bound context.Context, d *Dataset[Pair[K, V]], name string, create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
+// combineByKey is the engine's map-side-combining wide transformation, the
+// analogue of Spark's combineByKey. Per source partition — before any data
+// moves — every record's value is folded into a per-key combiner C (create
+// for the first value of a key, mergeValue for the rest); only the combined
+// pairs are shuffled, and each destination bucket merges the per-partition
+// combiners with mergeCombiners. mergeCombiners must be commutative and
+// associative — exactly the contract UPA and Spark already demand of
+// reducers (§II) — which is what makes the pre-shuffle fold output-invariant:
+// fold(p1 ++ p2) == mergeCombiners(fold(p1), fold(p2)).
+//
+// On skewed keys this shrinks RecordsShuffled from O(records) to
+// O(partitions × distinct keys); the RecordsPreCombine / RecordsPostCombine /
+// RecordsCombinedMapSide counters meter the reduction. Output keys appear in
+// deterministic first-seen order within each partition, identical to the
+// order a combine-less shuffle would produce. Cancelling bound aborts the
+// shuffle even when the dataset is later collected without a context.
+func combineByKey[K comparable, V, C any](bound context.Context, d *Dataset[Pair[K, V]], create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
 	combined := mapSideCombine(d, create, mergeValue)
 	sh := &shuffled[K, C]{}
 	numParts := d.numParts
-	return derived[Pair[K, C], Pair[K, C]](combined, name, numParts, func(ctx context.Context, p int) ([]Pair[K, C], error) {
+	return derived[Pair[K, C], Pair[K, C]](combined, "reduceByKey", numParts, func(ctx context.Context, p int) ([]Pair[K, C], error) {
 		sctx, stop := joinContexts(bound, ctx)
 		defer stop()
 		bucket, err := sh.bucket(sctx, combined, numParts, p)
@@ -281,13 +270,13 @@ func combineByKey[K comparable, V, C any](bound context.Context, d *Dataset[Pair
 // partition, and because f is associative the combined values are exactly
 // the values a combine-less fold would have produced.
 func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], f Reducer[V]) *Dataset[Pair[K, V]] {
-	return combineByKey(nil, d, "reduceByKey", func(v V) V { return v }, f, f)
+	return combineByKey(nil, d, func(v V) V { return v }, f, f)
 }
 
 // ReduceByKeyCtx is ReduceByKey with a bound context: cancelling ctx aborts
 // the shuffle even when the dataset is later collected without one.
 func ReduceByKeyCtx[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]], f Reducer[V]) *Dataset[Pair[K, V]] {
-	return combineByKey(ctx, d, "reduceByKey", func(v V) V { return v }, f, f)
+	return combineByKey(ctx, d, func(v V) V { return v }, f, f)
 }
 
 // GroupByKey gathers all values of each key into a slice, in deterministic
@@ -295,22 +284,10 @@ func ReduceByKeyCtx[K comparable, V any](ctx context.Context, d *Dataset[Pair[K,
 // grouping eliminates nothing, so every record ships to its bucket (the same
 // reason Spark's groupByKey never combines).
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	return groupByKey(nil, d)
-}
-
-// GroupByKeyCtx is GroupByKey with a bound context: cancelling ctx aborts
-// the shuffle even when the dataset is later collected without one.
-func GroupByKeyCtx[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	return groupByKey(ctx, d)
-}
-
-func groupByKey[K comparable, V any](bound context.Context, d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
 	sh := &shuffled[K, V]{}
 	numParts := d.numParts
 	return derived[Pair[K, V], Pair[K, []V]](d, "groupByKey", numParts, func(ctx context.Context, p int) ([]Pair[K, []V], error) {
-		sctx, stop := joinContexts(bound, ctx)
-		defer stop()
-		bucket, err := sh.bucket(sctx, d, numParts, p)
+		bucket, err := sh.bucket(ctx, d, numParts, p)
 		if err != nil {
 			return nil, err
 		}
@@ -392,77 +369,4 @@ func joinCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K, V
 		return out, nil
 	})
 	return child, nil
-}
-
-// CoGroup groups the values of both datasets by key: for every key present
-// on either side, the output holds all left values and all right values.
-// Two shuffle rounds. Like Join, both sides are rebucketed into
-// max(a.NumPartitions(), b.NumPartitions()) buckets.
-func CoGroup[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[[]V, []W]]], error) {
-	return coGroupCtx(nil, a, b)
-}
-
-// CoGroupCtx is CoGroup with a bound context: cancelling ctx aborts the
-// shuffles even when the dataset is later collected without one.
-func CoGroupCtx[K comparable, V, W any](ctx context.Context, a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[[]V, []W]]], error) {
-	return coGroupCtx(ctx, a, b)
-}
-
-func coGroupCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[[]V, []W]]], error) {
-	if a.eng != b.eng {
-		return nil, fmt.Errorf("mapreduce: cogroup across engines")
-	}
-	shA := &shuffled[K, V]{}
-	shB := &shuffled[K, W]{}
-	numParts := max(a.numParts, b.numParts)
-	child := derived[Pair[K, V], Pair[K, Joined[[]V, []W]]](a, "cogroup", numParts, func(ctx context.Context, p int) ([]Pair[K, Joined[[]V, []W]], error) {
-		sctx, stop := joinContexts(bound, ctx)
-		defer stop()
-		left, err := shA.bucket(sctx, a, numParts, p)
-		if err != nil {
-			return nil, err
-		}
-		right, err := shB.bucket(sctx, b, numParts, p)
-		if err != nil {
-			return nil, err
-		}
-		lefts := make(map[K][]V)
-		rights := make(map[K][]W)
-		order := make([]K, 0)
-		seen := make(map[K]bool)
-		for _, rec := range left {
-			if !seen[rec.Key] {
-				seen[rec.Key] = true
-				order = append(order, rec.Key)
-			}
-			lefts[rec.Key] = append(lefts[rec.Key], rec.Value)
-		}
-		for _, rec := range right {
-			if !seen[rec.Key] {
-				seen[rec.Key] = true
-				order = append(order, rec.Key)
-			}
-			rights[rec.Key] = append(rights[rec.Key], rec.Value)
-		}
-		out := make([]Pair[K, Joined[[]V, []W]], len(order))
-		for i, k := range order {
-			out[i] = Pair[K, Joined[[]V, []W]]{
-				Key:   k,
-				Value: Joined[[]V, []W]{Left: lefts[k], Right: rights[k]},
-			}
-		}
-		return out, nil
-	})
-	return child, nil
-}
-
-// Distinct removes duplicate records of a comparable element type,
-// preserving first-seen order. One shuffle round (records must be
-// co-located by value to deduplicate globally), with ReduceByKey's map-side
-// combine ahead of it: each source partition deduplicates locally first, so
-// only one record per (partition, value) is shuffled.
-func Distinct[T comparable](d *Dataset[T]) *Dataset[T] {
-	pairs := Map(d, func(t T) Pair[T, struct{}] { return Pair[T, struct{}]{Key: t} })
-	reduced := ReduceByKey(pairs, func(a, _ struct{}) struct{} { return a })
-	return Map(reduced, func(p Pair[T, struct{}]) T { return p.Key })
 }

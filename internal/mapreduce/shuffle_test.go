@@ -253,65 +253,7 @@ func TestJoinAcrossEnginesRejected(t *testing.T) {
 	}
 }
 
-func TestCoGroup(t *testing.T) {
-	eng := NewEngine()
-	a, err := FromSlice(eng, []Pair[string, int]{{Key: "a", Value: 1}, {Key: "b", Value: 2}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromSlice(eng, []Pair[string, string]{{Key: "a", Value: "x"}, {Key: "c", Value: "y"}}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg, err := CoGroup(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cg.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := make(map[string]Joined[[]int, []string])
-	for _, p := range got {
-		byKey[p.Key] = p.Value
-	}
-	if len(byKey) != 3 {
-		t.Fatalf("cogroup produced %d keys, want 3", len(byKey))
-	}
-	if len(byKey["a"].Left) != 1 || len(byKey["a"].Right) != 1 {
-		t.Errorf("key a groups = %v", byKey["a"])
-	}
-	if len(byKey["b"].Left) != 1 || len(byKey["b"].Right) != 0 {
-		t.Errorf("key b groups = %v", byKey["b"])
-	}
-	if len(byKey["c"].Left) != 0 || len(byKey["c"].Right) != 1 {
-		t.Errorf("key c groups = %v", byKey["c"])
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	eng := NewEngine()
-	d, err := FromSlice(eng, []int{3, 1, 3, 2, 1, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Distinct(d).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("Distinct kept %d values, want 3: %v", len(got), got)
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate survived Distinct: %v", got)
-		}
-		seen[v] = true
-	}
-}
-
-func TestKeyByMapValuesKeysValues(t *testing.T) {
+func TestKeyByValues(t *testing.T) {
 	eng := NewEngine()
 	d, err := FromSlice(eng, []int{1, 2, 3, 4}, 2)
 	if err != nil {
@@ -323,20 +265,25 @@ func TestKeyByMapValuesKeysValues(t *testing.T) {
 		}
 		return "odd"
 	})
-	squared := MapValues(keyed, func(x int) int { return x * x })
-	ks, err := Keys(squared).Collect()
+	pairs, err := keyed.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := Values(squared).Collect()
+	vs, err := Values(keyed).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ks) != 4 || len(vs) != 4 {
-		t.Fatalf("keys/values lengths = %d/%d, want 4/4", len(ks), len(vs))
+	if len(pairs) != 4 || len(vs) != 4 {
+		t.Fatalf("pairs/values lengths = %d/%d, want 4/4", len(pairs), len(vs))
 	}
-	if ks[0] != "odd" || vs[0] != 1 || ks[1] != "even" || vs[1] != 4 {
-		t.Fatalf("unexpected keyed values: %v %v", ks, vs)
+	for i, p := range pairs {
+		want := "odd"
+		if vs[i]%2 == 0 {
+			want = "even"
+		}
+		if p.Key != want || p.Value != vs[i] || vs[i] != i+1 {
+			t.Fatalf("unexpected keyed record %d: %+v, value %d", i, p, vs[i])
+		}
 	}
 }
 

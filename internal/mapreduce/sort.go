@@ -72,7 +72,7 @@ func cmpOf[T any](less func(a, b T) bool) func(a, b T) int {
 func sortRuns[T any](ctx context.Context, d *Dataset[T], less func(a, b T) bool) (*partStore[T], error) {
 	cmp := cmpOf(less)
 	sortPart := func(ctx context.Context, p int) ([]T, error) {
-		part, err := d.partition(ctx, p)
+		part, err := d.compute(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -144,51 +144,4 @@ func mergeRuns[T any](ctx context.Context, st *partStore[T], less func(a, b T) b
 		}
 	}
 	return out, nil
-}
-
-// Top returns the k greatest records under less (the analogue of Spark's
-// top action): a per-partition selection followed by a final merge, without
-// a full shuffle.
-func Top[T any](d *Dataset[T], k int, less func(a, b T) bool) ([]T, error) {
-	//upa:allow(ctxpropagation) public convenience wrapper: callers without a context land here
-	return TopCtx(context.Background(), d, k, less)
-}
-
-// TopCtx is Top under a caller-supplied context: cancellation aborts the
-// per-partition selection tasks.
-func TopCtx[T any](ctx context.Context, d *Dataset[T], k int, less func(a, b T) bool) ([]T, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("mapreduce: negative k %d", k)
-	}
-	if k == 0 {
-		return nil, nil
-	}
-	cmp := cmpOf(less)
-	desc := func(a, b T) int { return cmp(b, a) }
-	partTops := make([][]T, d.numParts)
-	err := d.eng.runTasks(ctx, d.name+":top", d.numParts, func(tctx context.Context, p int) error {
-		part, err := d.partition(tctx, p)
-		if err != nil {
-			return err
-		}
-		local := slices.Clone(part)
-		slices.SortStableFunc(local, desc)
-		if len(local) > k {
-			local = local[:k]
-		}
-		partTops[p] = local
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var merged []T
-	for _, t := range partTops {
-		merged = append(merged, t...)
-	}
-	slices.SortStableFunc(merged, desc)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged, nil
 }

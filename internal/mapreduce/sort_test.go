@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"context"
-	"errors"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -131,64 +129,5 @@ func TestSortByProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTop(t *testing.T) {
-	eng := NewEngine()
-	d, err := FromSlice(eng, []int{4, 9, 1, 7, 3, 8}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Top(d, 3, func(a, b int) bool { return a < b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{9, 8, 7}
-	if len(got) != 3 {
-		t.Fatalf("Top = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Top = %v, want %v", got, want)
-		}
-	}
-	// k larger than the dataset returns everything.
-	all, err := Top(d, 100, func(a, b int) bool { return a < b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 6 {
-		t.Fatalf("Top(100) returned %d records", len(all))
-	}
-	if zero, err := Top(d, 0, func(a, b int) bool { return a < b }); err != nil || zero != nil {
-		t.Fatalf("Top(0) = %v, %v", zero, err)
-	}
-	if _, err := Top(d, -1, func(a, b int) bool { return a < b }); err == nil {
-		t.Fatal("negative k accepted")
-	}
-}
-
-// TestTopCtxCancellation is the regression test for Top severing the
-// cancellation chain: it used to mint context.Background() internally, so a
-// cancelled caller context could not abort the per-partition selection.
-func TestTopCtxCancellation(t *testing.T) {
-	eng := NewEngine()
-	d, err := FromSlice(eng, []int{4, 9, 1, 7, 3, 8}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := TopCtx(ctx, d, 3, func(a, b int) bool { return a < b }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TopCtx with cancelled context = %v, want context.Canceled", err)
-	}
-	// A live context still produces the top-k.
-	got, err := TopCtx(context.Background(), d, 2, func(a, b int) bool { return a < b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 9 || got[1] != 8 {
-		t.Fatalf("TopCtx = %v, want [9 8]", got)
 	}
 }

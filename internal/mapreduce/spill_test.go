@@ -224,7 +224,7 @@ func TestSortByPartitionsOwned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first, err := sorted.CollectPartitions()
+			first, err := sorted.CollectPartitionsCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,36 +319,6 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := readSpill[Pair[string, []int]](bytes.NewReader(trunc), int64(len(trunc)), len(recs)); err == nil {
 		t.Error("truncated spill file read without error")
-	}
-}
-
-// TestPersistedDatasetSpills: Persist on a budget-0 engine materializes to
-// spill files, and every later action streams the identical records back
-// without recomputing lineage.
-func TestPersistedDatasetSpills(t *testing.T) {
-	eng := NewEngine(WithMemoryBudget(0))
-	defer eng.Close()
-	d, err := FromSlice(eng, intsUpTo(300), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	squared := Map(d, func(x int) int { return x * x }).Persist()
-	first, err := squared.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mappedBefore := eng.Metrics().RecordsMapped
-	second, err := squared.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Metrics().RecordsMapped != mappedBefore {
-		t.Error("spilled persisted dataset recomputed on second action")
-	}
-	for i := range first {
-		if first[i] != second[i] || first[i] != i*i {
-			t.Fatalf("value %d: %d vs %d, want %d", i, first[i], second[i], i*i)
-		}
 	}
 }
 

@@ -303,8 +303,8 @@ func TestSpillReadFaultRecovery(t *testing.T) {
 // a lineage-backed store's spill files are corrupted on disk (not in
 // flight), so every re-read fails its checksum and only lineage
 // recomputation can produce the records — which must match, bump
-// SpillRecomputes, and heal the file for the next reader. The persisted
-// case reads whole partitions; the sortBy case streams its runs through the
+// SpillRecomputes, and heal the file for the next reader. The shuffle
+// case reads whole buckets; the sortBy case streams its runs through the
 // merge's cursors.
 func TestSpillRecomputeFromLineage(t *testing.T) {
 	cases := []struct {
@@ -312,8 +312,9 @@ func TestSpillRecomputeFromLineage(t *testing.T) {
 		match string // spill file name fragment of the store to rot
 		build func(t *testing.T, d *Dataset[int]) *Dataset[int]
 	}{
-		{"persist", "persist", func(t *testing.T, d *Dataset[int]) *Dataset[int] {
-			return Map(d, func(x int) int { return x * x }).Persist()
+		{"shuffle", "shuffle", func(t *testing.T, d *Dataset[int]) *Dataset[int] {
+			keyed := KeyBy(d, func(x int) int { return x % 7 })
+			return Values(ReduceByKey(keyed, func(a, b int) int { return a + b }))
 		}},
 		{"sortBy", "sortBy", func(t *testing.T, d *Dataset[int]) *Dataset[int] {
 			sorted, err := SortBy(d, 3, func(a, b int) bool { return a > b })

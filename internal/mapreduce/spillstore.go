@@ -16,9 +16,9 @@ import (
 
 // spillStore is the engine's memory-budget accountant and temp-file
 // allocator. Every materialization that would retain records in memory
-// (source partitions, persisted datasets, shuffle buckets, sorted runs)
-// first asks admit; past the budget the materialization is written to
-// deterministic checksummed temp files instead and read back on demand.
+// (source partitions, shuffle buckets, sorted runs) first asks admit; past
+// the budget the materialization is written to deterministic checksummed
+// temp files instead and read back on demand.
 //
 // The temp directory is created lazily on the first spill, so engines that
 // never exceed their budget (including every engine with the default

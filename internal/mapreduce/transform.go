@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-
-	"upa/internal/stats"
 )
 
 // Map applies f to every record. It is a narrow transformation: partition p
@@ -12,7 +10,7 @@ import (
 // embarrassingly parallel and recomputable from lineage.
 func Map[T, U any](d *Dataset[T], f func(T) U) *Dataset[U] {
 	return derived[T, U](d, "map", d.numParts, func(ctx context.Context, p int) ([]U, error) {
-		in, err := d.partition(ctx, p)
+		in, err := d.compute(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +58,7 @@ func MapFold[T, U any](d *Dataset[T], first func(T) U, step func(U, T) U) *Datas
 		if d.runs != nil {
 			d.runs(p, fold)
 		} else {
-			in, err := d.partition(ctx, p)
+			in, err := d.compute(ctx, p)
 			if err != nil {
 				return nil, err
 			}
@@ -75,26 +73,10 @@ func MapFold[T, U any](d *Dataset[T], first func(T) U, step func(U, T) U) *Datas
 	})
 }
 
-// FlatMap applies f to every record and concatenates the results.
-func FlatMap[T, U any](d *Dataset[T], f func(T) []U) *Dataset[U] {
-	return derived[T, U](d, "flatMap", d.numParts, func(ctx context.Context, p int) ([]U, error) {
-		in, err := d.partition(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		var out []U
-		for _, v := range in {
-			out = append(out, f(v)...)
-		}
-		d.eng.metrics.RecordsMapped.Add(int64(len(in)))
-		return out, nil
-	})
-}
-
 // Filter keeps the records for which keep returns true.
 func Filter[T any](d *Dataset[T], keep func(T) bool) *Dataset[T] {
 	return derived[T, T](d, "filter", d.numParts, func(ctx context.Context, p int) ([]T, error) {
-		in, err := d.partition(ctx, p)
+		in, err := d.compute(ctx, p)
 		if err != nil {
 			return nil, err
 		}
@@ -115,50 +97,13 @@ func Filter[T any](d *Dataset[T], keep func(T) bool) *Dataset[T] {
 // unmetered would hide that work from the metrics.
 func MapPartitions[T, U any](d *Dataset[T], f func(p int, in []T) ([]U, error)) *Dataset[U] {
 	return derived[T, U](d, "mapPartitions", d.numParts, func(ctx context.Context, p int) ([]U, error) {
-		in, err := d.partition(ctx, p)
+		in, err := d.compute(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		d.eng.metrics.RecordsMapped.Add(int64(len(in)))
 		return f(p, in)
 	})
-}
-
-// Union concatenates two datasets of the same element type. The child has
-// the partitions of a followed by the partitions of b. Union is the
-// "commutative" composition point of MapReduce: for a commutative,
-// associative reducer R, Reduce(Union(a, b)) == R(Reduce(a), Reduce(b)).
-func Union[T any](a, b *Dataset[T]) (*Dataset[T], error) {
-	if a.eng != b.eng {
-		return nil, fmt.Errorf("mapreduce: union across engines")
-	}
-	return &Dataset[T]{
-		eng:      a.eng,
-		numParts: a.numParts + b.numParts,
-		name:     "union(" + a.name + "," + b.name + ")",
-		compute: func(ctx context.Context, p int) ([]T, error) {
-			if p < a.numParts {
-				return a.partition(ctx, p)
-			}
-			return b.partition(ctx, p-a.numParts)
-		},
-	}, nil
-}
-
-// Sample returns k records drawn uniformly without replacement (all records
-// if k >= count), together with the indices of the sampled records in
-// partition order. Sampling is deterministic in rng.
-func Sample[T any](d *Dataset[T], rng *stats.RNG, k int) (records []T, indices []int, err error) {
-	all, err := d.Collect()
-	if err != nil {
-		return nil, nil, err
-	}
-	idx := rng.SampleIndices(len(all), k)
-	out := make([]T, len(idx))
-	for i, j := range idx {
-		out[i] = all[j]
-	}
-	return out, idx, nil
 }
 
 // Repartition redistributes records into numParts contiguous partitions.

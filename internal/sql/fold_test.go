@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -17,7 +18,7 @@ func partialsOf(t *testing.T, p *AggregatePlan, columnar bool) [][]mapreduce.Pai
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := ds.CollectPartitions()
+	parts, err := ds.CollectPartitionsCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestRowFedAggregateCombinesBeforeReduceByKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts, err := joined.CollectPartitions()
+		parts, err := joined.CollectPartitionsCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -296,7 +297,7 @@ func TestPartBoundsMatchFromSlice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ds.CollectPartitions()
+			got, err := ds.CollectPartitionsCtx(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
